@@ -28,8 +28,10 @@ The package provides:
   topologies, traffic patterns, routing policies, failure modes, and
   throughput solver backends;
 * :mod:`repro.solvers` — pluggable throughput solver backends
-  (``highs-exact``, ``highs-batched``, ``highs-paths``, ``mcf-approx``)
-  returning typed :class:`~repro.solvers.SolveOutcome` values;
+  (``highs-colgen`` — the default — plus ``highs-exact``,
+  ``highs-batched``, ``highs-incremental``, ``highs-paths``,
+  ``mcf-approx``) returning typed :class:`~repro.solvers.SolveOutcome`
+  values;
 * :mod:`repro.resilience` — seeded failure scenarios,
   ``topology.degrade(...)``, and "throughput retained vs. fraction
   failed" campaigns (``python -m repro resilience``);

@@ -104,6 +104,13 @@ DEFAULT_MAX_SWEEP_POINTS = 256
 DEFAULT_MAX_JOB_POINTS = 16384
 DEFAULT_MAX_DESIGN_CANDIDATES = 64
 
+#: Solver for ``/v1/throughput`` and ``/v1/compare`` requests that name
+#: none.  Deliberately not :data:`repro.registry.DEFAULT_SOLVER`: replies
+#: echo the solver name, and the end-to-end benchmark's pinned replies
+#: (``e2ebench/api_pins.json``) record ``"solver": "highs-batched"``.
+#: Move it to the library default together with re-pinning those replies.
+API_DEFAULT_SOLVER = "highs-batched"
+
 #: Solver names whose exact-LP structure the warm context cache serves.
 _CONTEXT_SOLVERS = ("exact", "highs-exact", "highs-batched")
 
@@ -494,7 +501,7 @@ class ApiService:
     ) -> Dict[str, Any]:
         """The throughput core: build/fetch warm state, solve, memoize."""
         fractions = self._fractions(body)
-        solver_spec = body.get("solver", "highs-batched")
+        solver_spec = body.get("solver", API_DEFAULT_SOLVER)
         solver_name, solver_params = registry.parse_spec(solver_spec, key="name")
         if solver_name not in registry.SOLVERS:
             raise ApiError(
@@ -898,7 +905,7 @@ class ApiService:
                 else None
             )
         solver_name, _ = registry.parse_spec(
-            body.get("solver", "highs-batched"), key="name"
+            body.get("solver", API_DEFAULT_SOLVER), key="name"
         )
         return {
             "solver": solver_name,

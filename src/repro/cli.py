@@ -632,7 +632,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument(
         "--solver",
         choices=sorted(registry.SOLVERS.available()),
-        default="exact",
+        default=registry.DEFAULT_SOLVER,
         help="throughput solver backend (see docs/solvers.md)",
     )
     p.add_argument("--k-paths", type=int, default=8)

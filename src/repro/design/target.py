@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..cost import PORT_COSTS
+from ..registry import DEFAULT_SOLVER
 
 __all__ = [
     "DesignError",
@@ -113,8 +114,8 @@ class DesignTarget:
         Master seed for TM generation and seeded constructions.
     solver:
         Solver-backend spec for the LP stage (any
-        :data:`repro.registry.SOLVERS` name, e.g. ``highs-batched`` or
-        ``highs-incremental``).
+        :data:`repro.registry.SOLVERS` name; default
+        :data:`repro.registry.DEFAULT_SOLVER`, ``highs-colgen``).
     families:
         Candidate topology families (``()`` = every registered design
         space).
@@ -150,7 +151,7 @@ class DesignTarget:
     fraction: float = 1.0
     per_server_demand: float = 1.0
     seed: int = 0
-    solver: str = "highs-batched"
+    solver: str = DEFAULT_SOLVER
     families: Tuple[str, ...] = ()
     space: Mapping[str, Any] = field(default_factory=dict)
     max_switches: int = 64

@@ -113,8 +113,8 @@ def _resolve_rate(spec: ExperimentSpec, topology: Topology, pairs, sizes) -> flo
     return (load * active_servers * rate_bps / 8.0) / mean_bytes
 
 
-def _lp_solver_backend(wl: Mapping[str, Any]):
-    """The :data:`repro.registry.SOLVERS` backend an lp workload selects.
+def _lp_solver_backend(spec: ExperimentSpec):
+    """The :data:`repro.registry.SOLVERS` backend an lp spec selects.
 
     ``k_paths`` parameterizes the paths backends and ``epsilon`` the
     approximation; ``highs-colgen`` takes ``k_paths`` (seed paths per
@@ -122,7 +122,8 @@ def _lp_solver_backend(wl: Mapping[str, Any]):
     backends take no knobs (beyond ``highs-incremental``'s
     ``solver_mode``).
     """
-    name = str(wl.get("solver", "exact"))
+    wl = spec.workload
+    name = spec.lp_solver
     params: Dict[str, Any] = {}
     if name in ("paths", "highs-paths"):
         params["k"] = wl.get("k_paths", 8)
@@ -164,7 +165,7 @@ def _lp_metrics(result, fraction) -> Dict[str, float]:
 
 def _run_lp(spec: ExperimentSpec, topology: Topology) -> Dict[str, float]:
     tm, fraction = _lp_tm(spec, topology)
-    backend = _lp_solver_backend(spec.workload)
+    backend = _lp_solver_backend(spec)
     outcome = backend.solve(topology, tm)
     # Non-optimal outcomes re-raise the typed SolverFailure: the Runner
     # turns it into a (non-retryable) failure record, so infeasible
@@ -308,7 +309,7 @@ def execute_lp_batch(specs: Sequence[ExperimentSpec]) -> List[RunRecord]:
     setup_start = time.perf_counter()
     topology = _build_topology(first.topology)
     topology, degraded_telemetry = _apply_failures(first, topology)
-    backend = _lp_solver_backend(first.workload)
+    backend = _lp_solver_backend(first)
 
     tms = []
     fractions = []

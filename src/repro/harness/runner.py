@@ -18,9 +18,10 @@ Completed points are served from / written to the content-addressed
 :class:`~repro.harness.cache.ResultCache` when one is attached, so
 re-running a sweep only computes new or changed points.
 
-LP points that select a batching-capable solver (``highs-batched``)
-and share topology + failures are peeled off before the pool and solved
-in-process through one ``solve_many`` batch per group (see
+LP points that select a batching-capable solver (``highs-colgen`` —
+the default — or ``highs-batched``) and share topology + failures are
+peeled off before the pool and solved in-process through one
+``solve_many`` batch per group (see
 :func:`~repro.harness.execute.execute_lp_batch`): no per-point worker
 fork, topology and LP structure built once.  On fixed-topology sweeps
 this is the difference measured by ``benchmarks/perf``'s
@@ -224,7 +225,7 @@ class Runner:
         """
         if spec.engine != "lp":
             return None
-        name = str(spec.workload.get("solver", "exact"))
+        name = spec.lp_solver
         from ..registry import SOLVERS, RegistryError
 
         try:

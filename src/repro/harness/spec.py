@@ -52,6 +52,7 @@ class SpecError(ValueError):
 
 ENGINES = ("packet", "flow", "lp")
 
+from ..registry import DEFAULT_SOLVER  # noqa: E402
 from ..registry import TOPOLOGIES as _TOPOLOGIES  # noqa: E402
 from ..registry import TRAFFIC as _TRAFFIC  # noqa: E402
 
@@ -87,10 +88,12 @@ class ExperimentSpec:
         For the ``lp`` engine only ``pattern`` (``longest_matching``),
         ``fraction``, and optionally ``solver``/``k_paths``/``epsilon``
         apply.  ``solver`` is any :data:`repro.registry.SOLVERS` name
-        (``exact`` — the default — / ``highs-exact`` /
-        ``highs-batched`` / ``paths`` / ``highs-paths`` /
-        ``mcf-approx``); ``k_paths`` parameterizes the paths backends
-        and ``epsilon`` the approximation.  Points selecting a
+        (``highs-colgen`` — the default,
+        :data:`repro.registry.DEFAULT_SOLVER` — / ``exact`` /
+        ``highs-exact`` / ``highs-batched`` / ``paths`` /
+        ``highs-paths`` / ``mcf-approx``); ``k_paths`` parameterizes
+        the paths and colgen backends and ``epsilon`` the
+        approximation.  Points selecting a
         batching-capable solver on a shared topology are solved through
         one ``solve_many`` batch by the Runner.
     routing:
@@ -197,7 +200,7 @@ class ExperimentSpec:
         if self.engine == "lp":
             from ..registry import SOLVERS
 
-            solver_name = self.workload.get("solver", "exact")
+            solver_name = self.lp_solver
             if solver_name not in SOLVERS:
                 raise SpecError(
                     f"unknown lp solver {solver_name!r}; "
@@ -244,6 +247,11 @@ class ExperimentSpec:
             raise SpecError(
                 f"flow engine supports ecmp/vlb/hyb, got {self.routing!r}"
             )
+
+    @property
+    def lp_solver(self) -> str:
+        """The solver name an lp workload selects (``DEFAULT_SOLVER`` if unset)."""
+        return str(self.workload.get("solver", DEFAULT_SOLVER))
 
     @property
     def label(self) -> str:

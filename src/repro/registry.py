@@ -20,10 +20,11 @@ family of objects lives in a :class:`Registry` keyed by name:
   ``aggregation``, ``metanodes``, ``bisection``; built scenarios apply
   through ``Topology.degrade``.
 * :data:`SOLVERS` — throughput solver backends (registered by
-  ``repro.solvers.backends``): ``highs-exact`` (alias ``exact``),
-  ``highs-batched``, ``highs-paths`` (alias ``paths``), ``mcf-approx``;
-  selectable from ``ExperimentSpec`` workloads, sweep JSON, and the
-  CLI ``--solver`` flag.
+  ``repro.solvers.backends``): ``highs-colgen`` (the default,
+  :data:`DEFAULT_SOLVER`), ``highs-exact`` (alias ``exact``),
+  ``highs-batched``, ``highs-incremental``, ``highs-paths`` (alias
+  ``paths``), ``mcf-approx``; selectable from ``ExperimentSpec``
+  workloads, sweep JSON, and the CLI ``--solver`` flag.
 * :data:`DESIGNS` — per-family candidate enumerators for the inverse
   design search (registered by ``repro.design.space``): ``fattree``,
   ``jellyfish``, ``xpander``, ``slimfly``, ``longhop``; specs like
@@ -61,6 +62,7 @@ __all__ = [
     "ROUTINGS",
     "FAILURES",
     "SOLVERS",
+    "DEFAULT_SOLVER",
     "DESIGNS",
     "parse_spec",
     "topology",
@@ -351,6 +353,13 @@ TRAFFIC = Registry("traffic pattern", loader=_load_traffic)
 ROUTINGS = Registry("routing", loader=_load_routings)
 FAILURES = Registry("failure mode", loader=_load_failures)
 SOLVERS = Registry("solver", loader=_load_solvers)
+#: The :data:`SOLVERS` backend every front end solves with when no
+#: solver is named: lp sweep specs, ``repro throughput``, ``skew_sweep``
+#: and :class:`repro.design.DesignTarget`.  Column generation reaches the
+#: edge LP's optimum (within 1e-9) with far smaller masters, and it
+#: batches a sweep's points through one ``solve_many``.  The ``/v1``
+#: throughput endpoints keep their own default (``highs-batched``).
+DEFAULT_SOLVER = "highs-colgen"
 DESIGNS = Registry("design space", loader=_load_designs)
 
 

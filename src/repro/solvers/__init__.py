@@ -7,7 +7,8 @@ backend abstraction in front of it:
 * :class:`SolverBackend` — ``solve(topology, tm)`` →
   :class:`SolveOutcome` (status enum: optimal / infeasible / unbounded /
   numerical, iterations, wall time), plus ``solve_many`` for batches;
-* ``highs-exact`` / ``highs-batched`` / ``highs-incremental`` /
+* ``highs-colgen`` (the default, :data:`DEFAULT_SOLVER`) /
+  ``highs-exact`` / ``highs-batched`` / ``highs-incremental`` /
   ``highs-paths`` / ``mcf-approx`` — the built-in backends (see
   :mod:`repro.solvers.backends`);
 * registry integration — backends live in
@@ -16,8 +17,11 @@ backend abstraction in front of it:
   (``--solver``); ``repro.registry.solver("mcf-approx:epsilon=0.1")``
   builds one from a compact spec string.
 
-``highs-batched`` is byte-identical to ``highs-exact`` (same linprog
-calls on the same matrices), and so is ``highs-incremental``'s
+``highs-colgen`` solves the path formulation by column generation and
+matches the ``highs-exact`` edge LP within 1e-9 (a duality certificate
+ends its pricing loop); ``exact``/``highs-exact`` stay the edge-LP
+oracle.  ``highs-batched`` is byte-identical to ``highs-exact`` (same
+linprog calls on the same matrices), and so is ``highs-incremental``'s
 pure-scipy fallback (patched cached matrices equal fresh assembly);
 with the optional ``highspy`` dependency (the ``[perf]`` extra)
 ``highs-incremental`` re-solves each sweep point with dual simplex from
@@ -36,6 +40,7 @@ from .backends import (
     McfApproxBackend,
     register_builtin_solvers,
 )
+from ..registry import DEFAULT_SOLVER
 from .base import SolveOutcome, SolveStatus, SolverBackend, solve_outcome
 from .batched import BatchedTopologyContext
 from .colgen import (
@@ -52,6 +57,7 @@ from .incremental import (
 )
 
 __all__ = [
+    "DEFAULT_SOLVER",
     "SolveStatus",
     "SolveOutcome",
     "SolverBackend",

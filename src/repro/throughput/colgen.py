@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -178,6 +178,19 @@ class ColgenStats:
 # ----------------------------------------------------------------------
 # Shared per-solve machinery
 # ----------------------------------------------------------------------
+class _Trees(NamedTuple):
+    """One Dijkstra's shortest-path trees, decoded per demand."""
+
+    #: Demand i's tree path as an arc-id tuple (``None``: unreachable).
+    columns: List[Optional[Tuple[int, ...]]]
+    #: Raw distance matrix over the pricer's unique sources.
+    dist: np.ndarray
+    #: Every column's arcs, concatenated in demand order.
+    arcs: np.ndarray
+    #: Arcs per demand (0 when unreachable).
+    hops: np.ndarray
+
+
 class _Pricer:
     """Demand arrays + shortest-path-tree column extraction.
 
@@ -207,15 +220,12 @@ class _Pricer:
         )
         self.arc_lut = lut
 
-    def tree_paths(
-        self, lengths: np.ndarray
-    ) -> Tuple[List[Optional[Tuple[int, ...]]], np.ndarray]:
+    def tree_paths(self, lengths: np.ndarray) -> _Trees:
         """Shortest path per demand under per-arc ``lengths``.
 
-        Returns ``(columns, dist)`` where ``columns[i]`` is demand i's
-        tree path as an arc-id tuple (``None`` if unreachable) and
-        ``dist`` is the raw Dijkstra distance matrix over the unique
-        sources.
+        One multi-source Dijkstra, then every reachable demand's
+        predecessor chain is walked in lockstep: step k yields the k-th
+        arc back from each still-walking demand's destination.
         """
         self.csr.data = lengths[self.perm]
         dist, pred = csgraph.dijkstra(
@@ -223,24 +233,31 @@ class _Pricer:
             return_predecessors=True,
         )
         n = self._n
-        lut = self.arc_lut
-        out: List[Optional[Tuple[int, ...]]] = []
-        for i in range(self.nd):
-            row = self.inv[i]
-            dcol = int(self.dsts[i])
-            scol = int(self.srcs[i])
-            if not np.isfinite(dist[row, dcol]):
-                out.append(None)
-                continue
-            path: List[int] = []
-            v = dcol
-            while v != scol:
-                u = int(pred[row, v])
-                path.append(int(lut[u * n + v]))
-                v = u
-            path.reverse()
-            out.append(tuple(path))
-        return out, dist
+        rows, srcs, dsts = self.inv, self.srcs, self.dsts
+        reach = np.isfinite(dist[rows, dsts])
+        hops = np.zeros(self.nd, dtype=np.int64)
+        live = np.flatnonzero(reach & (dsts != srcs))
+        v = dsts[live].astype(np.int64)
+        steps: List[Tuple[np.ndarray, np.ndarray]] = []
+        while live.size:
+            u = pred[rows[live], v].astype(np.int64)
+            steps.append((live, self.arc_lut[u * n + v]))
+            hops[live] += 1
+            walking = u != srcs[live]
+            live = live[walking]
+            v = u[walking]
+        # Lay the arcs out source-to-destination, demand after demand.
+        ends = np.cumsum(hops)
+        arcs = np.empty(int(ends[-1]) if self.nd else 0, dtype=np.int64)
+        for k, (ids, step_arcs) in enumerate(steps):
+            arcs[ends[ids] - 1 - k] = step_arcs
+        arc_list = arcs.tolist()
+        columns: List[Optional[Tuple[int, ...]]] = []
+        start = 0
+        for ok, end in zip(reach.tolist(), ends.tolist()):
+            columns.append(tuple(arc_list[start:end]) if ok else None)
+            start = end
+        return _Trees(columns, dist, arcs, hops)
 
     def demand_dists(self, dist: np.ndarray) -> np.ndarray:
         """Per-demand source->destination distances from a Dijkstra run."""
@@ -279,6 +296,16 @@ def _upper_bound(
     return float(np.dot(caps, w)) / denom
 
 
+def _inflate(
+    lengths: np.ndarray, trees: _Trees, dem_vals: np.ndarray, caps: np.ndarray
+) -> None:
+    """Multiplicative-weights step: stretch every arc the trees route
+    over by ``1 + eps * demand / capacity`` per traversing demand."""
+    arcs = trees.arcs
+    vals = np.repeat(dem_vals, trees.hops)
+    np.multiply.at(lengths, arcs, 1.0 + _MWU_EPS * vals / caps[arcs])
+
+
 def _mwu_sweep(
     pricer: _Pricer, pool: _Pool, caps: np.ndarray, phases: int
 ) -> None:
@@ -288,20 +315,14 @@ def _mwu_sweep(
     if phases <= 0:
         return
     lengths = 1.0 / caps
-    dem_vals = pricer.dem_vals
     for _ in range(phases):
-        paths, _ = pricer.tree_paths(lengths)
-        flats = [np.asarray(c, dtype=np.intp) for c in paths if c]
-        if not flats:
+        trees = pricer.tree_paths(lengths)
+        if not trees.arcs.size:
             return
-        flat = np.concatenate(flats)
-        vals = np.concatenate(
-            [np.full(len(c), dem_vals[i]) for i, c in enumerate(paths) if c]
-        )
-        for i, col in enumerate(paths):
+        for i, col in enumerate(trees.columns):
             if col is not None:
                 pool.add(i, col)
-        np.multiply.at(lengths, flat, 1.0 + _MWU_EPS * vals / caps[flat])
+        _inflate(lengths, trees, pricer.dem_vals, caps)
 
 
 def _price_round(
@@ -321,8 +342,9 @@ def _price_round(
     ``(new_columns, improving, upper_bound)`` — ``improving`` reflects
     the true-dual pass only.
     """
-    paths, dist = pricer.tree_paths(w)
-    dists = pricer.demand_dists(dist)
+    trees = pricer.tree_paths(w)
+    paths = trees.columns
+    dists = pricer.demand_dists(trees.dist)
     ub = _upper_bound(pricer, caps, w, dists)
     added = 0
     improving = False
@@ -335,18 +357,10 @@ def _price_round(
                 added += 1
     if improving and passes > 1:
         wl = w.copy()
-        dem_vals = pricer.dem_vals
         for _ in range(passes - 1):
-            flats = [np.asarray(c, dtype=np.intp) for c in paths if c]
-            if flats:
-                flat = np.concatenate(flats)
-                vals = np.concatenate(
-                    [np.full(len(c), dem_vals[i])
-                     for i, c in enumerate(paths) if c]
-                )
-                np.multiply.at(wl, flat, 1.0 + _MWU_EPS * vals / caps[flat])
-            paths, _ = pricer.tree_paths(wl)
-            for i, col in enumerate(paths):
+            _inflate(wl, trees, pricer.dem_vals, caps)
+            trees = pricer.tree_paths(wl)
+            for i, col in enumerate(trees.columns):
                 if col is not None and pool.add(i, col):
                     added += 1
     return added, improving, ub

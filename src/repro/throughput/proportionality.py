@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..registry import DEFAULT_SOLVER
 from ..topologies.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from ..traffic.patterns import longest_matching_tm
@@ -117,7 +118,7 @@ def skew_sweep(
     tm_builder: Optional[
         Callable[[Topology, float, int], TrafficMatrix]
     ] = None,
-    solver: Any = "exact",
+    solver: Any = DEFAULT_SOLVER,
     k_paths: int = 8,
     seed: int = 0,
     trials: int = 1,
@@ -132,7 +133,7 @@ def skew_sweep(
     ``trials > 1`` the reported value is the mean over TM seeds.
 
     All TMs go through one ``solve_many`` call, so a batching-capable
-    backend (``highs-batched``, ``highs-incremental``) amortizes its
+    backend (``highs-colgen``, ``highs-batched``) amortizes its
     per-topology structure across the whole sweep; with ``warm=True``
     (the default) warm-capable backends may additionally reuse model
     structure and simplex bases across points and across calls, while
@@ -144,9 +145,11 @@ def skew_sweep(
     ----------
     solver:
         A :data:`repro.registry.SOLVERS` name or spec string
-        (``"exact"``, ``"highs-batched"``, ``"mcf-approx:epsilon=0.1"``,
-        ...) or an already-built backend instance.  Unknown names raise
-        ``ValueError`` listing the valid choices.
+        (``"highs-colgen"``, the default
+        :data:`repro.registry.DEFAULT_SOLVER`; ``"exact"``;
+        ``"mcf-approx:epsilon=0.1"``; ...) or an already-built backend
+        instance.  Unknown names raise ``ValueError`` listing the valid
+        choices.
     k_paths:
         ``k`` for the paths backends (ignored by the others).
     epsilon:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.harness import ExperimentSpec, ResultCache, RunRecord
 
 
@@ -54,6 +55,21 @@ class TestResultCache:
         old.put(s, ok_record(s))
         assert old.get(s) is not None
         assert new.get(s) is None
+
+    def test_records_from_before_the_default_solver_switch_miss(
+        self, tmp_path
+    ):
+        # 1.3.0 made highs-colgen the lp default.  A spec that names no
+        # solver hashes as before, so only the version in the key keeps
+        # edge-LP records cached by 1.2.0 from being served.
+        s = spec(
+            engine="lp",
+            workload={"pattern": "longest_matching", "fraction": 0.5},
+        )
+        ResultCache(str(tmp_path), version="1.2.0").put(s, ok_record(s))
+        current = ResultCache(str(tmp_path))
+        assert current.version == repro.__version__ != "1.2.0"
+        assert current.get(s) is None
 
     def test_failed_records_never_cached(self, tmp_path):
         cache = ResultCache(str(tmp_path))

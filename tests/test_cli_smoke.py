@@ -81,12 +81,36 @@ class TestExitCodes:
         class _Fake:
             status, success, x, message, nit = 2, False, None, "infeasible", 3
 
+        # The fake fails the edge LP, so name that solver explicitly.
         monkeypatch.setattr(lp, "linprog", lambda *a, **k: _Fake())
+        rc = main(["throughput", "jellyfish", "--switches", "8", "--degree",
+                   "4", "--servers", "2", "--fractions", "1.0",
+                   "--solver", "exact"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "non-optimal" in captured.err
+
+    def test_throughput_default_solver_failure_exits_one(
+        self, capsys, monkeypatch
+    ):
+        import repro.throughput.colgen as colgen
+        from repro.throughput import InfeasibleError
+
+        class _Fake:
+            status, success, x, message, nit = 2, False, None, "infeasible", 3
+
+        def infeasible(*args, **kwargs):
+            raise InfeasibleError("colgen master failed", formulation="colgen")
+
+        # Fail the column-generation master under either engine: the
+        # linprog fallback and the bundled HiGHS core.
+        monkeypatch.setattr(colgen, "linprog", lambda *a, **k: _Fake())
+        monkeypatch.setattr(colgen, "_raise_for_core_status", infeasible)
         rc = main(["throughput", "jellyfish", "--switches", "8", "--degree",
                    "4", "--servers", "2", "--fractions", "1.0"])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "non-optimal" in captured.err
+        assert "highs-colgen reported non-optimal" in captured.err
 
     def test_sweep_with_failing_point_exits_one(self, tmp_path, capsys):
         spec = {

@@ -4,8 +4,9 @@ Boots a real :class:`ApiServer` on an ephemeral port and drives it with
 concurrent stdlib HTTP clients in two phases over the same query mix:
 
 * **cold** — every request carries ``"warm": false``, so the server
-  rebuilds the topology, its path cache, and the exact-LP ArcTable and
-  re-solves from scratch per request: the process-per-query baseline.
+  rebuilds the topology, its path cache, and the colgen context (ArcTable
+  + path pool) and re-solves from scratch per request: the
+  process-per-query baseline.
 * **warm** — the same requests with the warm layers on: topologies,
   solver contexts, and the shared path cache persist across requests,
   and repeated queries short-circuit into the content-addressed result
@@ -124,7 +125,7 @@ def test_api_load_warm_vs_cold():
         "warm_over_cold": ratio,
         "warm_caches": {
             "topologies": cache_stats["topologies"]["entries"],
-            "solver_contexts": cache_stats["solver_contexts"]["entries"],
+            "colgen_contexts": cache_stats["colgen_contexts"]["entries"],
             "results": cache_stats["results"]["entries"],
             "result_hits": cache_stats["results"]["hits"],
         },

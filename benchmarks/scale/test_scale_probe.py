@@ -16,8 +16,7 @@ the frontier in ``BENCH_scale.json`` at the repo root:
   chunked PathCache distances, so neither the dense distance matrix nor
   the O(n^3) blossom matching caps the climb).
 * **Per-engine solves** — the largest jellyfish each evaluation engine
-  (``flowsim``, ``highs-exact``, ``highs-incremental``,
-  ``highs-colgen``, ``mcf-approx``) completes within the per-trial
+  (``flowsim``, ``highs-colgen``) completes within the per-trial
   budget, with the headline metric and wall time at that frontier.
 
 Every stage climbs a ×2 ladder.  Schema ``repro.scale/2`` records two
@@ -87,31 +86,10 @@ ENGINE_SPECS = {
         "measure_start": 0.0,
         "measure_end": 0.02,
     },
-    "highs-exact": {
-        "engine": "lp",
-        "workload": {
-            "pattern": "longest_matching", "solver": "highs-exact",
-            "fraction": 1.0,
-        },
-    },
-    "highs-incremental": {
-        "engine": "lp",
-        "workload": {
-            "pattern": "longest_matching", "solver": "highs-incremental",
-            "fraction": 1.0,
-        },
-    },
     "highs-colgen": {
         "engine": "lp",
         "workload": {
             "pattern": "longest_matching", "solver": "highs-colgen",
-            "fraction": 1.0,
-        },
-    },
-    "mcf-approx": {
-        "engine": "lp",
-        "workload": {
-            "pattern": "longest_matching", "solver": "mcf-approx",
             "fraction": 1.0,
         },
     },
@@ -120,20 +98,14 @@ ENGINE_SPECS = {
 #: Headline metric per engine for the frontier entry.
 ENGINE_METRIC = {
     "flowsim": "avg_fct_ms",
-    "highs-exact": "per_server_throughput",
-    "highs-incremental": "per_server_throughput",
     "highs-colgen": "per_server_throughput",
-    "mcf-approx": "per_server_throughput",
 }
 
 #: Quick-ladder floors the CI scale-smoke job holds every engine to:
 #: the largest *completed* rung must reach at least this many switches.
 QUICK_ENGINE_FLOORS = {
     "flowsim": 64,
-    "highs-exact": 32,
-    "highs-incremental": 32,
     "highs-colgen": 64,
-    "mcf-approx": 16,
 }
 QUICK_TM_FLOOR = 512
 

@@ -27,10 +27,10 @@ The package provides:
 * :mod:`repro.registry` — string-spec construction registry for
   topologies, traffic patterns, routing policies, failure modes, and
   throughput solver backends;
-* :mod:`repro.solvers` — pluggable throughput solver backends
-  (``highs-colgen`` — the default — plus ``highs-exact``,
-  ``highs-batched``, ``highs-incremental``, ``highs-paths``,
-  ``mcf-approx``) returning typed :class:`~repro.solvers.SolveOutcome`
+* :mod:`repro.solvers` — throughput solver backends (``highs-colgen``,
+  the one exact engine, reachable also as ``exact`` / ``highs-exact`` /
+  ``highs-batched`` / ``highs-incremental``; and the ``highs-paths``
+  lower bound) returning typed :class:`~repro.solvers.SolveOutcome`
   values;
 * :mod:`repro.resilience` — seeded failure scenarios,
   ``topology.degrade(...)``, and "throughput retained vs. fraction

@@ -77,10 +77,6 @@ def _field_schemas() -> Dict[str, Dict[str, Any]]:
                     "enum": list(registry.SOLVERS.available()),
                 },
                 "k_paths": {"type": "integer", "minimum": 1},
-                "epsilon": _number(
-                    "mcf-approx accuracy knob", exclusiveMinimum=0,
-                    exclusiveMaximum=0.5,
-                ),
             },
             "additionalProperties": True,
         },

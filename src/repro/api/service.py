@@ -42,9 +42,10 @@ pointer, and are counted separately in the ``/v1/context`` request
 statistics.
 
 Warm-state semantics: repeated queries naming the same topology spec
-reuse the built topology, its exact-LP :class:`BatchedTopologyContext`
-(the persistent ArcTable), and the process-wide shared path cache;
-byte-identical queries are served from a content-addressed result memo.
+reuse the built topology, its ``highs-colgen``
+:class:`~repro.solvers.colgen.ColgenTopologyContext` (ArcTable + path
+pool), and the process-wide shared path cache; byte-identical queries
+are served from a content-addressed result memo.
 Any ``POST`` body may set ``"warm": false`` to bypass every warm layer
 and rebuild per request — that is the load bench's cold baseline, and a
 live way to check warm results against a from-scratch evaluation.
@@ -73,12 +74,11 @@ from ..harness import ResultCache, Runner
 from ..harness.execute import execute_spec
 from ..harness.spec import ENGINES, ExperimentSpec, expand_sweep
 from ..perf import PathCache, shared_path_cache
-from ..solvers.base import SolveOutcome, solve_outcome
-from ..solvers.batched import BatchedTopologyContext
-from ..solvers.colgen import ColgenTopologyContext, colgen_solve_outcome
-from ..solvers.incremental import (
-    IncrementalTopologyContext,
-    incremental_solve_outcome,
+from ..solvers.base import SolveOutcome
+from ..solvers.colgen import (
+    ColgenTopologyContext,
+    HighsColgenBackend,
+    colgen_solve_outcome,
 )
 from ..version import SPEC_HASH_VERSION, __version__
 from .errors import ApiError, classify_exception
@@ -105,22 +105,12 @@ DEFAULT_MAX_JOB_POINTS = 16384
 DEFAULT_MAX_DESIGN_CANDIDATES = 64
 
 #: Solver for ``/v1/throughput`` and ``/v1/compare`` requests that name
-#: none.  Deliberately not :data:`repro.registry.DEFAULT_SOLVER`: replies
-#: echo the solver name, and the end-to-end benchmark's pinned replies
+#: none.  An alias of :data:`repro.registry.DEFAULT_SOLVER`, so it solves
+#: with ``highs-colgen``; the name itself stays because replies echo it
+#: and the end-to-end benchmark's pinned replies
 #: (``e2ebench/api_pins.json``) record ``"solver": "highs-batched"``.
 #: Move it to the library default together with re-pinning those replies.
 API_DEFAULT_SOLVER = "highs-batched"
-
-#: Solver names whose exact-LP structure the warm context cache serves.
-_CONTEXT_SOLVERS = ("exact", "highs-exact", "highs-batched")
-
-#: Solver names served by the warm *incremental* context cache (model
-#: structure + simplex bases carried across requests).
-_INCREMENTAL_SOLVERS = ("highs-incremental",)
-
-#: Solver names served by the warm *colgen* context cache (generated
-#: path pools carried across requests).
-_COLGEN_SOLVERS = ("highs-colgen",)
 
 
 def _require(body: Dict[str, Any], key: str) -> Any:
@@ -503,13 +493,7 @@ class ApiService:
         fractions = self._fractions(body)
         solver_spec = body.get("solver", API_DEFAULT_SOLVER)
         solver_name, solver_params = registry.parse_spec(solver_spec, key="name")
-        if solver_name not in registry.SOLVERS:
-            raise ApiError(
-                400,
-                "bad_spec",
-                f"unknown solver {solver_name!r}; valid choices: "
-                + ", ".join(registry.SOLVERS.available()),
-            )
+        backend = registry.SOLVERS.build(solver_name, **solver_params)
         seed = int(body.get("seed", 0))
         demand = float(body.get("per_server_demand", 1.0))
         failures = body.get("failures")
@@ -526,36 +510,17 @@ class ApiService:
             topo_key = ""
             properties = self._properties(PathCache(topo.graph), topo)
 
-        context: Optional[BatchedTopologyContext] = None
-        incremental: Optional[IncrementalTopologyContext] = None
+        # Column generation keeps its path pool across requests; any
+        # other backend (the paths bound) solves each fraction afresh.
         colgen: Optional[ColgenTopologyContext] = None
         context_hit = False
-        uses_incremental = solver_name in _INCREMENTAL_SOLVERS
-        uses_colgen = solver_name in _COLGEN_SOLVERS
-        uses_context = solver_name in _CONTEXT_SOLVERS
-        if uses_incremental:
-            if warm:
-                incremental, context_hit = self.state.incremental(
-                    topology_spec, topo, failures
-                )
-            else:
-                incremental = IncrementalTopologyContext(topo)
-        elif uses_colgen:
+        if isinstance(backend, HighsColgenBackend):
             if warm:
                 colgen, context_hit = self.state.colgen(
-                    topology_spec, topo, failures
+                    topology_spec, topo, failures, backend
                 )
             else:
-                colgen = ColgenTopologyContext(topo)
-        elif uses_context:
-            if warm:
-                context, context_hit = self.state.context(
-                    topology_spec, topo, failures
-                )
-            else:
-                context = BatchedTopologyContext(topo)
-        else:
-            backend = registry.SOLVERS.build(solver_name, **solver_params)
+                colgen = backend.build_context(topo)
 
         results: List[Dict[str, Any]] = []
         for fraction in fractions:
@@ -577,24 +542,15 @@ class ApiService:
             tm = registry.TRAFFIC.build(
                 "longest_matching", topo, fraction=fraction, seed=seed
             )
-            if uses_incremental:
-                outcome = incremental_solve_outcome(
-                    incremental, tm, demand,
-                    backend_name=solver_name, reuse_structure=warm,
-                )
-            elif uses_colgen:
+            if colgen is not None:
                 outcome = colgen_solve_outcome(
                     colgen, tm, demand,
                     backend_name=solver_name, reuse_pool=warm,
                 )
-            elif uses_context:
-                outcome = solve_outcome(
-                    solver_name, lambda: context.solve(tm, demand)
-                )
             else:
                 outcome = backend.solve(topo, tm, demand)
             entry = self._outcome_entry(fraction, outcome)
-            if uses_incremental or uses_colgen:
+            if colgen is not None:
                 entry["warm_started"] = outcome.warm_started
                 entry["basis_reused"] = outcome.basis_reused
             if warm and outcome.ok:
@@ -611,7 +567,7 @@ class ApiService:
                 "topology": "hit" if topo_hit else "miss",
                 "context": (
                     ("hit" if context_hit else "miss")
-                    if (uses_context or uses_incremental or uses_colgen)
+                    if colgen is not None
                     else None
                 ),
                 "results_cached": sum(1 for r in results if r["cached"]),

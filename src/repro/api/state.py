@@ -7,16 +7,12 @@ structure survives between requests:
 * **built topologies** — constructing a topology (and degrading it under
   a failure scenario) is pure given its spec, so equal specs share one
   immutable instance;
-* **solver contexts** — the exact LP's per-topology structure
-  (:class:`~repro.solvers.batched.BatchedTopologyContext`: ArcTable +
-  component labels) is hoisted once per topology and reused by every
-  subsequent solve, exactly as the harness Runner does for batched
-  sweeps — but across *requests* instead of across sweep points;
-* **incremental solver contexts** — for warm-capable solvers
-  (``highs-incremental``), the assembled LP structures and (with the
-  optional ``highspy`` dependency) live solver instances whose simplex
-  bases carry over, so a repeated query re-solves from the previous
-  basis instead of from scratch;
+* **solver contexts** — the ``highs-colgen`` per-topology state
+  (:class:`~repro.solvers.colgen.ColgenTopologyContext`: ArcTable,
+  component labels and the generated path pool), so columns priced for
+  one request seed the restricted master of the next — the harness
+  Runner's batch warm start, carried across *requests* instead of
+  across sweep points;
 * **solve results** — throughput queries are deterministic functions of
   their canonical payload, so identical queries are served straight from
   a content-addressed memo (the in-memory analogue of the harness's
@@ -44,9 +40,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from .. import obs, registry
-from ..solvers.batched import BatchedTopologyContext
-from ..solvers.colgen import ColgenTopologyContext
-from ..solvers.incremental import IncrementalTopologyContext
+from ..solvers.colgen import ColgenTopologyContext, HighsColgenBackend
 from ..topologies import Topology
 
 __all__ = ["WarmState", "canonical_key"]
@@ -105,24 +99,21 @@ class _Lru:
 class WarmState:
     """The request handlers' shared caches, thread-safe.
 
-    Parameters bound the footprint: topologies and solver contexts hold
-    dense per-topology structure (an ArcTable, component labels), so
-    their LRUs stay small; result memo entries are tiny JSON fragments.
+    Parameters bound the footprint: topologies and colgen contexts hold
+    dense per-topology structure (an ArcTable, component labels, a path
+    pool), so their LRUs stay small; result memo entries are tiny JSON
+    fragments.
     """
 
     def __init__(
         self,
         max_topologies: int = 32,
-        max_contexts: int = 32,
         max_results: int = 4096,
-        max_incremental: int = 8,
         max_colgen: int = 8,
     ) -> None:
         self._lock = threading.RLock()
         self._topologies = _Lru("topology", max_topologies)
-        self._contexts = _Lru("context", max_contexts)
         self._results = _Lru("results", max_results)
-        self._incremental = _Lru("incremental", max_incremental)
         self._colgen = _Lru("colgen", max_colgen)
         self.started_at = time.time()
 
@@ -169,57 +160,14 @@ class WarmState:
             return self._topologies.put(key, topo), False
 
     # ------------------------------------------------------------------
-    # Exact-LP solver contexts (the persistent ArcTables)
-    # ------------------------------------------------------------------
-    def context(self, spec: Any, topology: Topology, failures: Any = None
-                ) -> Tuple[BatchedTopologyContext, bool]:
-        """The warm per-topology LP context; returns ``(context, was_hit)``.
-
-        Keyed on the topology *spec* (not the graph structure alone)
-        because the ArcTable bakes in per-arc capacities, which the
-        structural content hash deliberately ignores.
-        """
-        key = self.topology_key(spec, failures)
-        with self._lock:
-            context = self._contexts.get(key)
-        if context is not None:
-            return context, True
-        context = BatchedTopologyContext(topology)
-        with self._lock:
-            return self._contexts.put(key, context), False
-
-    # ------------------------------------------------------------------
-    # Incremental (warm-started) solver contexts
-    # ------------------------------------------------------------------
-    def incremental(
-        self, spec: Any, topology: Topology, failures: Any = None
-    ) -> Tuple[IncrementalTopologyContext, bool]:
-        """The warm incremental LP context; returns ``(context, was_hit)``.
-
-        Unlike :meth:`context` (a stateless ArcTable hoist), these hold
-        assembled LP structures — and with ``highspy`` installed, live
-        solver instances whose simplex bases carry over — so repeated
-        ``/throughput`` and ``/sweep`` requests against the same spec
-        warm-start off *prior requests*.  Each context guards its own
-        mutable state with an internal lock, so concurrent handlers
-        sharing one context serialize at the solve, not here.  Bounded
-        tighter than the other LRUs: contexts hold dense matrices per
-        cached demand structure.
-        """
-        key = self.topology_key(spec, failures)
-        with self._lock:
-            context = self._incremental.get(key)
-        if context is not None:
-            return context, True
-        context = IncrementalTopologyContext(topology)
-        with self._lock:
-            return self._incremental.put(key, context), False
-
-    # ------------------------------------------------------------------
     # Column-generation solver contexts (the persistent path pools)
     # ------------------------------------------------------------------
     def colgen(
-        self, spec: Any, topology: Topology, failures: Any = None
+        self,
+        spec: Any,
+        topology: Topology,
+        failures: Any,
+        backend: HighsColgenBackend,
     ) -> Tuple[ColgenTopologyContext, bool]:
         """The warm colgen context; returns ``(context, was_hit)``.
 
@@ -227,15 +175,23 @@ class WarmState:
         (:class:`~repro.solvers.colgen.ColgenTopologyContext`): columns
         generated for one request seed the restricted master of the
         next, so repeated ``/throughput`` queries against the same spec
-        typically converge in a round or two.  Bounded like the
-        incremental LRU — each context holds an ArcTable plus its pool.
+        typically converge in a round or two.  ``backend`` supplies the
+        context's knobs (``k``, ``max_rounds``, ``mode``, ...), and
+        requests with different knobs get different contexts.  Each
+        context holds an ArcTable plus its pool, so the LRU stays small.
         """
-        key = self.topology_key(spec, failures)
+        key = canonical_key(
+            {
+                "topology": self.topology_key(spec, failures),
+                "knobs": [backend.k, backend.phases, backend.passes,
+                          backend.max_rounds, backend.mode],
+            }
+        )
         with self._lock:
             context = self._colgen.get(key)
         if context is not None:
             return context, True
-        context = ColgenTopologyContext(topology)
+        context = backend.build_context(topology)
         with self._lock:
             return self._colgen.put(key, context), False
 
@@ -254,23 +210,17 @@ class WarmState:
     def stats(self) -> Dict[str, Any]:
         """A JSON-ready snapshot for the ``/context`` manifest."""
         from ..perf import shared_cache_stats
-        from ..solvers.incremental import warm_start_stats
+        from ..solvers.colgen import warm_start_stats
 
         with self._lock:
             warm = {
                 "topologies": self._topologies.stats(),
-                "solver_contexts": self._contexts.stats(),
                 "results": self._results.stats(),
             }
-            incremental = self._incremental.stats()
-            incremental["contexts"] = [
-                ctx.stats() for ctx in self._incremental.entries.values()
-            ]
             colgen = self._colgen.stats()
             colgen["contexts"] = [
                 ctx.stats() for ctx in self._colgen.entries.values()
             ]
-        warm["incremental_contexts"] = incremental
         warm["colgen_contexts"] = colgen
         warm["path_cache"] = shared_cache_stats()
         warm["warm_start"] = warm_start_stats()
@@ -280,7 +230,5 @@ class WarmState:
         """Drop every warm entry (tests; counters are kept)."""
         with self._lock:
             self._topologies.entries.clear()
-            self._contexts.entries.clear()
             self._results.entries.clear()
-            self._incremental.entries.clear()
             self._colgen.entries.clear()

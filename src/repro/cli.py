@@ -187,7 +187,6 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
         solver=args.solver,
         k_paths=args.k_paths,
         seed=args.seed,
-        epsilon=args.epsilon,
     )
     print(
         format_series(
@@ -636,10 +635,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="throughput solver backend (see docs/solvers.md)",
     )
     p.add_argument("--k-paths", type=int, default=8)
-    p.add_argument(
-        "--epsilon", type=float, default=0.05,
-        help="mcf-approx accuracy knob (ignored by other solvers)",
-    )
     p.set_defaults(func=_cmd_throughput)
 
     p = sub.add_parser("simulate", help="packet-level experiment")

@@ -116,29 +116,27 @@ def _resolve_rate(spec: ExperimentSpec, topology: Topology, pairs, sizes) -> flo
 def _lp_solver_backend(spec: ExperimentSpec):
     """The :data:`repro.registry.SOLVERS` backend an lp spec selects.
 
-    ``k_paths`` parameterizes the paths backends and ``epsilon`` the
-    approximation; ``highs-colgen`` takes ``k_paths`` (seed paths per
-    demand), ``max_rounds``, and ``solver_mode``; the other exact
-    backends take no knobs (beyond ``highs-incremental``'s
-    ``solver_mode``).
+    Knobs follow the backend the name resolves to, so aliases get the
+    same ones: the paths bound takes ``k_paths``; column generation
+    (``highs-colgen`` and its aliases) takes ``k_paths`` (seed paths per
+    demand), ``max_rounds`` and ``solver_mode``.
     """
+    from ..solvers.backends import HighsColgenBackend, HighsPathsBackend
+
     wl = spec.workload
     name = spec.lp_solver
     params: Dict[str, Any] = {}
-    if name in ("paths", "highs-paths"):
-        params["k"] = wl.get("k_paths", 8)
-    elif name == "mcf-approx" and "epsilon" in wl:
-        params["epsilon"] = wl["epsilon"]
-    elif name == "highs-incremental" and "solver_mode" in wl:
-        params["mode"] = wl["solver_mode"]
-    elif name == "highs-colgen":
-        if "k_paths" in wl:
-            params["k"] = wl["k_paths"]
-        if "max_rounds" in wl:
-            params["max_rounds"] = wl["max_rounds"]
-        if "solver_mode" in wl:
-            params["mode"] = wl["solver_mode"]
     try:
+        factory = registry.SOLVERS.get(name)
+        if factory is HighsPathsBackend:
+            params["k"] = wl.get("k_paths", 8)
+        elif factory is HighsColgenBackend:
+            for key, param in (
+                ("k_paths", "k"), ("max_rounds", "max_rounds"),
+                ("solver_mode", "mode"),
+            ):
+                if key in wl:
+                    params[param] = wl[key]
         return registry.SOLVERS.build(name, **params)
     except registry.RegistryError as exc:
         raise SpecError(str(exc)) from exc
@@ -299,9 +297,9 @@ def execute_lp_batch(specs: Sequence[ExperimentSpec]) -> List[RunRecord]:
     on ``topology``, ``failures``, and solver selection; the topology is
     built and degraded once and the backend amortizes its per-topology
     structure across the whole batch.  Returns one record per spec, in
-    order: per-record ``metrics`` are byte-identical to what
-    :func:`execute_spec` would produce for the same spec (the batched
-    backend issues identical solves), while non-optimal solves become
+    order: per-record ``metrics`` agree with what :func:`execute_spec`
+    would produce for the same spec (within 1e-9: the batch shares one
+    warm path pool), while non-optimal solves become
     failure records carrying the typed error — one infeasible point
     never takes down the rest of the batch.
     """

@@ -19,13 +19,11 @@ Completed points are served from / written to the content-addressed
 re-running a sweep only computes new or changed points.
 
 LP points that select a batching-capable solver (``highs-colgen`` —
-the default — or ``highs-batched``) and share topology + failures are
+the default — or any of its aliases) and share topology + failures are
 peeled off before the pool and solved in-process through one
 ``solve_many`` batch per group (see
 :func:`~repro.harness.execute.execute_lp_batch`): no per-point worker
-fork, topology and LP structure built once.  On fixed-topology sweeps
-this is the difference measured by ``benchmarks/perf``'s
-``lp_batched_sweep`` bench.
+fork, topology and path pool built once.
 
 ``Runner(inline=True)`` executes every point sequentially in the
 calling process instead.  That trades away parallelism and hard
@@ -215,13 +213,17 @@ class Runner:
         return records
 
     @staticmethod
-    def _batch_key(spec: ExperimentSpec) -> Optional[Tuple[str, str, str]]:
+    def _batch_key(
+        spec: ExperimentSpec,
+    ) -> Optional[Tuple[str, str, str, str]]:
         """Group key for batchable lp points; ``None`` = not batchable.
 
         Points batch together when they share topology, failures, and a
-        solver whose backend advertises ``supports_batching`` — the TM
-        (fraction / seed) is the only thing that varies inside a group,
-        which is exactly what ``solve_many`` amortizes over.
+        solver whose backend advertises ``supports_batching``, plus every
+        other workload field that shapes the solve (solver knobs,
+        ``warm``) — the TM (fraction / seed) is the only thing that
+        varies inside a group, which is exactly what ``solve_many``
+        amortizes over.
         """
         if spec.engine != "lp":
             return None
@@ -234,10 +236,16 @@ class Runner:
             return None
         if not getattr(factory, "supports_batching", False):
             return None
+        solve = {
+            key: value
+            for key, value in spec.workload.items()
+            if key not in ("pattern", "fraction", "pattern_seed", "solver")
+        }
         return (
             json.dumps(spec.topology, sort_keys=True),
             json.dumps(spec.failures, sort_keys=True),
             name,
+            json.dumps(solve, sort_keys=True),
         )
 
     def _run_batches(self, specs, records) -> None:
@@ -251,7 +259,7 @@ class Runner:
         be built) falls back to per-point execution with its usual
         retry semantics.
         """
-        groups: Dict[Tuple[str, str, str], List[int]] = {}
+        groups: Dict[Tuple[str, str, str, str], List[int]] = {}
         for i, spec in enumerate(specs):
             if records[i] is not None:
                 continue

@@ -86,14 +86,14 @@ class ExperimentSpec:
         sizes.  Load is either ``rate`` (flow arrivals/s, aggregate) or
         ``load`` (fraction of the active servers' access capacity).
         For the ``lp`` engine only ``pattern`` (``longest_matching``),
-        ``fraction``, and optionally ``solver``/``k_paths``/``epsilon``
-        apply.  ``solver`` is any :data:`repro.registry.SOLVERS` name
-        (``highs-colgen`` — the default,
-        :data:`repro.registry.DEFAULT_SOLVER` — / ``exact`` /
-        ``highs-exact`` / ``highs-batched`` / ``paths`` /
-        ``highs-paths`` / ``mcf-approx``); ``k_paths`` parameterizes
-        the paths and colgen backends and ``epsilon`` the
-        approximation.  Points selecting a
+        ``fraction``, and optionally ``solver``/``k_paths``/
+        ``max_rounds``/``solver_mode`` apply.  ``solver`` is any
+        :data:`repro.registry.SOLVERS` name: ``highs-colgen`` (the
+        default, :data:`repro.registry.DEFAULT_SOLVER`; ``exact`` /
+        ``highs-exact`` / ``highs-batched`` / ``highs-incremental`` are
+        its aliases) or the ``highs-paths`` / ``paths`` lower bound.
+        ``k_paths`` parameterizes both; ``max_rounds`` and
+        ``solver_mode`` only column generation.  Points selecting a
         batching-capable solver on a shared topology are solved through
         one ``solve_many`` batch by the Runner.
     routing:

@@ -20,10 +20,10 @@ family of objects lives in a :class:`Registry` keyed by name:
   ``aggregation``, ``metanodes``, ``bisection``; built scenarios apply
   through ``Topology.degrade``.
 * :data:`SOLVERS` — throughput solver backends (registered by
-  ``repro.solvers.backends``): ``highs-colgen`` (the default,
-  :data:`DEFAULT_SOLVER`), ``highs-exact`` (alias ``exact``),
-  ``highs-batched``, ``highs-incremental``, ``highs-paths`` (alias
-  ``paths``), ``mcf-approx``; selectable from ``ExperimentSpec``
+  ``repro.solvers.backends``): ``highs-colgen``, the one exact engine
+  and :data:`DEFAULT_SOLVER` (aliases ``exact``, ``highs-exact``,
+  ``highs-batched``, ``highs-incremental``), and the ``highs-paths``
+  lower bound (alias ``paths``); selectable from ``ExperimentSpec``
   workloads, sweep JSON, and the CLI ``--solver`` flag.
 * :data:`DESIGNS` — per-family candidate enumerators for the inverse
   design search (registered by ``repro.design.space``): ``fattree``,
@@ -358,7 +358,8 @@ SOLVERS = Registry("solver", loader=_load_solvers)
 #: and :class:`repro.design.DesignTarget`.  Column generation reaches the
 #: edge LP's optimum (within 1e-9) with far smaller masters, and it
 #: batches a sweep's points through one ``solve_many``.  The ``/v1``
-#: throughput endpoints keep their own default (``highs-batched``).
+#: throughput endpoints name their default ``highs-batched``, an alias
+#: of this backend.
 DEFAULT_SOLVER = "highs-colgen"
 DESIGNS = Registry("design space", loader=_load_designs)
 
@@ -407,8 +408,8 @@ def routing(spec: Any, topology: Any, **defaults: Any) -> Any:
 def solver(spec: Any, **defaults: Any) -> Any:
     """Build a throughput solver backend from a spec.
 
-    Accepts registry names (``"highs-batched"``), compact strings with
-    parameters (``"mcf-approx:epsilon=0.1"``, ``"highs-paths:k=4"``),
+    Accepts registry names (``"highs-colgen"``), compact strings with
+    parameters (``"highs-colgen:k=4"``, ``"highs-paths:k=4"``),
     and mappings with a ``name`` key.  ``defaults`` fill parameters the
     spec itself does not set.
     """

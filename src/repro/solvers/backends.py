@@ -1,103 +1,36 @@
 """The built-in solver backends and their registry bindings.
 
-Five backends (plus the two legacy aliases the harness/CLI historically
-exposed):
+One exact engine and one bound:
 
-* ``highs-exact`` (alias ``exact``) — one exact edge-LP call per TM via
-  :func:`~repro.throughput.lp.max_concurrent_throughput`.
-* ``highs-batched`` — exact edge LP with per-topology structure reuse
-  (:class:`~repro.solvers.batched.BatchedTopologyContext`); results are
-  byte-identical to ``highs-exact``.  ``solve_many`` is where it wins.
-* ``highs-incremental`` — exact edge LP with warm starts across sweep
-  points *and* across calls
-  (:class:`~repro.solvers.incremental.HighsIncrementalBackend`): cached
-  constraint structure per demand support, and with the optional
-  ``highspy`` dependency (the ``[perf]`` extra) dual-simplex re-solves
-  from the previous basis.  Knob ``mode`` (auto / highspy / fallback).
 * ``highs-colgen`` — exact *path* LP by column generation
   (:class:`~repro.solvers.colgen.HighsColgenBackend`): restricted
   master over a generated path pool + dual-price pricing loop,
-  converging to the same optimum as ``highs-exact`` with masters small
-  enough to scale an order of magnitude further.  Knobs ``k``,
-  ``phases``, ``passes``, ``max_rounds``, ``mode`` (auto / core /
-  fallback).
+  converging to the edge LP's optimum
+  (:func:`~repro.throughput.lp.max_concurrent_throughput`) within 1e-9
+  with masters small enough to scale an order of magnitude further.
+  Knobs ``k``, ``phases``, ``passes``, ``max_rounds``, ``mode`` (auto /
+  core / fallback).  ``exact``, ``highs-exact``, ``highs-batched`` and
+  ``highs-incremental`` are aliases of it, so specs naming the retired
+  edge-LP backends still resolve.
 * ``highs-paths`` (alias ``paths``) — k-shortest-paths LP lower bound
   via :func:`~repro.throughput.lp.path_throughput`; knob ``k``.
-* ``mcf-approx`` — the Fleischer/Garg–Könemann FPTAS
-  (:func:`~repro.throughput.mcf.approx_concurrent_throughput`); knob
-  ``epsilon`` in (0, 0.5), guaranteeing a (1 - O(epsilon)) fraction of
-  the exact optimum (never above it).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-from .. import obs
-from ..throughput.lp import (
-    ThroughputResult,
-    max_concurrent_throughput,
-    path_throughput,
-)
-from ..throughput.mcf import approx_concurrent_throughput
-from .base import SolveOutcome, SolverBackend, solve_outcome
-from .batched import BatchedTopologyContext
+from ..throughput.lp import ThroughputResult, path_throughput
+from .base import SolverBackend
 from .colgen import HighsColgenBackend
-from .incremental import HighsIncrementalBackend
 
 __all__ = [
-    "HighsExactBackend",
-    "HighsBatchedBackend",
+    "EXACT_ALIASES",
     "HighsPathsBackend",
-    "HighsIncrementalBackend",
     "HighsColgenBackend",
-    "McfApproxBackend",
     "register_builtin_solvers",
 ]
 
-
-class HighsExactBackend(SolverBackend):
-    """Exact edge LP, one self-contained HiGHS call per TM."""
-
-    name = "highs-exact"
-
-    def _solve_result(self, topology, tm, per_server_demand: float) -> ThroughputResult:
-        return max_concurrent_throughput(topology, tm, per_server_demand)
-
-
-class HighsBatchedBackend(SolverBackend):
-    """Exact edge LP with per-topology structure hoisted across a batch.
-
-    ``solve`` on a single TM builds a one-shot context (still
-    byte-identical to ``highs-exact``); ``solve_many`` amortizes the
-    ArcTable + component labels over the whole batch and runs in the
-    calling process, which is what the harness Runner exploits for
-    fixed-topology sweeps.
-    """
-
-    name = "highs-batched"
-    supports_batching = True
-
-    def solve(self, topology, tm, per_server_demand: float = 1.0) -> SolveOutcome:
-        return self.solve_many(topology, [tm], per_server_demand)[0]
-
-    def solve_many(
-        self,
-        topology,
-        tms: Sequence,
-        per_server_demand: float = 1.0,
-        warm: bool = True,
-    ) -> List[SolveOutcome]:
-        del warm  # structure is rebuilt per batch; nothing outlives the call
-        context = BatchedTopologyContext(topology)
-        with obs.span("solver.solve_many", backend=self.name, points=len(tms)):
-            return [
-                solve_outcome(
-                    self.name,
-                    lambda tm=tm: context.solve(tm, per_server_demand),
-                )
-                for tm in tms
-            ]
+#: Names of the retired exact backends, kept as ``highs-colgen`` aliases.
+EXACT_ALIASES = ("exact", "highs-exact", "highs-batched", "highs-incremental")
 
 
 class HighsPathsBackend(SolverBackend):
@@ -116,44 +49,9 @@ class HighsPathsBackend(SolverBackend):
         )
 
 
-class McfApproxBackend(SolverBackend):
-    """Fleischer FPTAS: (1 - O(epsilon))-approximate, LP-free."""
-
-    name = "mcf-approx"
-
-    def __init__(self, epsilon: float = 0.05):
-        if not 0 < epsilon < 0.5:
-            raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
-        self.epsilon = float(epsilon)
-
-    def _solve_result(self, topology, tm, per_server_demand: float) -> ThroughputResult:
-        return approx_concurrent_throughput(
-            topology, tm, epsilon=self.epsilon,
-            per_server_demand=per_server_demand,
-        )
-
-
 def register_builtin_solvers(registry) -> None:
     """Register the built-in backends (idempotent; called by the lazy
     loader of :data:`repro.registry.SOLVERS`)."""
-    registry.register(
-        "highs-exact", HighsExactBackend,
-        "exact edge LP, one HiGHS call per TM",
-    )
-    registry.register(
-        "exact", HighsExactBackend, "alias of highs-exact"
-    )
-    registry.register(
-        "highs-batched", HighsBatchedBackend,
-        "exact edge LP, per-topology structure reuse; byte-identical "
-        "to highs-exact, batches fixed-topology sweeps",
-    )
-    registry.register(
-        "highs-incremental", HighsIncrementalBackend,
-        "exact edge LP, warm-started across sweep points (structure + "
-        "basis reuse with the optional highspy [perf] extra; pure-scipy "
-        "fallback stays byte-identical to highs-exact); mode",
-    )
     registry.register(
         "highs-colgen", HighsColgenBackend,
         "exact path LP by column generation (restricted master + "
@@ -161,14 +59,12 @@ def register_builtin_solvers(registry) -> None:
         "path pool warm-starts repeat solves; k, phases, passes, "
         "max_rounds, mode",
     )
+    for alias in EXACT_ALIASES:
+        registry.register(alias, HighsColgenBackend, "alias of highs-colgen")
     registry.register(
         "highs-paths", HighsPathsBackend,
         "k-shortest-paths LP lower bound; k",
     )
     registry.register(
         "paths", HighsPathsBackend, "alias of highs-paths; k"
-    )
-    registry.register(
-        "mcf-approx", McfApproxBackend,
-        "Fleischer (1-O(eps)) FPTAS; epsilon in (0, 0.5)",
     )

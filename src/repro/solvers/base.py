@@ -64,7 +64,7 @@ class SolveOutcome:
         The :class:`ThroughputResult` when ``status`` is optimal, else
         ``None``.
     iterations:
-        Solver iterations spent (phases for ``mcf-approx``).
+        Solver iterations spent.
     wall_time_s:
         Wall-clock time of this solve, including assembly.
     message:
@@ -72,12 +72,13 @@ class SolveOutcome:
     error:
         The caught :class:`SolverFailure` for non-optimal outcomes.
     warm_started:
-        True when the solve reused a previously assembled model
-        structure (incremental backends; always False for cold paths).
+        True when the solve was seeded from earlier solves (the
+        ``highs-colgen`` path pool covered every demand pair); always
+        False for cold paths.
     basis_reused:
-        True when the solver additionally re-solved with dual simplex
-        from the previous basis (``highs-incremental`` with ``highspy``
-        installed; the scipy fallback reuses structure but not bases).
+        True when the solver re-solved from a previous simplex basis.
+        No built-in backend does (``highs-colgen`` rebuilds its master
+        per solve), so this stays False.
     """
 
     status: SolveStatus
@@ -178,7 +179,7 @@ class SolverBackend:
         """Solve many TMs on one topology (default: sequential solves).
 
         ``warm=True`` permits the backend to reuse state from earlier
-        points or earlier calls (model structure, simplex bases); cold
+        points or earlier calls (``highs-colgen``'s path pool); cold
         backends ignore it.  ``warm=False`` demands every point be
         solved from scratch — the contract equivalence tests and cold
         baselines rely on.

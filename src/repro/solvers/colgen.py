@@ -7,22 +7,26 @@ makes natural: a per-topology **path pool**.  Columns generated for one
 TM are remembered per ``(src, dst)`` pair; a later solve over the same
 pairs seeds its first master from the stored pool, skips the
 multiplicative-weights pool-building sweep entirely, and typically
-converges in one or two pricing rounds — the path-formulation analogue
-of ``highs-incremental``'s basis reuse.
+converges in one or two pricing rounds.
 
-Like :class:`~repro.solvers.incremental.HighsIncrementalBackend`, the
-context is keyed on a **capacity-aware** topology fingerprint: a changed
-capacity changes the optimum's support, so the pool (whose arc ids are
-also table-specific) must not survive any topology change.
+The context is keyed on a **capacity-aware** topology fingerprint
+(:func:`topology_fingerprint`): a changed capacity changes the
+optimum's support, so the pool (whose arc ids are also table-specific)
+must not survive any topology change.
 
-Warm/cold decisions share the process-global ``solver.warm_start.*``
-counters and each solve's ``solver.solve`` span carries
-``warm_started`` (pool covered every demand pair) — ``basis_reused``
-stays ``False``: the master is rebuilt per solve; only columns persist.
+Every warm/cold decision is observed: ``solver.warm_start.hit`` /
+``solver.warm_start.miss`` count per-solve pool coverage,
+``solver.warm_start.context_hit`` / ``context_miss`` count per-batch
+context reuse, and each solve's ``solver.solve`` span carries
+``warm_started`` (pool covered every demand pair).  The same counts
+are mirrored into process-global :func:`warm_start_stats` so
+long-lived services (:mod:`repro.api`) can surface them without an obs
+session.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -36,13 +40,66 @@ from ..throughput.lp import (
     _component_labels,
     _drop_by_labels,
 )
-from .incremental import _note, topology_fingerprint
 
 __all__ = [
     "ColgenTopologyContext",
     "HighsColgenBackend",
     "colgen_solve_outcome",
+    "topology_fingerprint",
+    "warm_start_stats",
+    "reset_warm_start_stats",
 ]
+
+
+# ----------------------------------------------------------------------
+# Process-global warm-start counters (mirrored to obs)
+# ----------------------------------------------------------------------
+_STATS_LOCK = threading.Lock()
+_STATS_KEYS = ("hit", "miss", "context_hit", "context_miss")
+_STATS: Dict[str, int] = {k: 0 for k in _STATS_KEYS}
+
+
+def _note(key: str) -> None:
+    with _STATS_LOCK:
+        _STATS[key] += 1
+    obs.add(f"solver.warm_start.{key}")
+
+
+def warm_start_stats() -> Dict[str, int]:
+    """Process-wide ``solver.warm_start.*`` counts (JSON-ready copy)."""
+    with _STATS_LOCK:
+        return dict(_STATS)
+
+
+def reset_warm_start_stats() -> None:
+    """Zero the process-wide counters (tests)."""
+    with _STATS_LOCK:
+        for k in _STATS_KEYS:
+            _STATS[k] = 0
+
+
+def topology_fingerprint(topology) -> str:
+    """A stable content hash of a topology's LP-relevant structure.
+
+    Unlike :func:`repro.perf.topology_content_hash` (hop counts only,
+    capacities deliberately ignored), this covers nodes, edges, *and*
+    per-edge capacities — everything the ArcTable bakes in.  Two
+    topologies with equal fingerprints produce identical ArcTables;
+    anything else must force a fresh context.
+    """
+    g = topology.graph
+    h = hashlib.sha256()
+    for v in sorted(g.nodes()):
+        h.update(repr(v).encode())
+        h.update(b";")
+    h.update(b"|")
+    for u, v, cap in sorted(
+        (min(u, v), max(u, v), data.get("capacity"))
+        for u, v, data in g.edges(data=True)
+    ):
+        h.update(repr((u, v, cap)).encode())
+        h.update(b";")
+    return h.hexdigest()
 
 
 class ColgenTopologyContext:
@@ -233,7 +290,7 @@ class HighsColgenBackend:
     """Exact path LP by column generation, with a persistent path pool.
 
     Holds one :class:`ColgenTopologyContext` for the most recent
-    topology (capacity-aware fingerprint, like ``highs-incremental``).
+    topology (capacity-aware :func:`topology_fingerprint`).
     ``solve_many(..., warm=True)`` reuses the context — and its column
     pool — across calls; ``warm=False`` solves every point cold and
     caches nothing.
@@ -283,7 +340,8 @@ class HighsColgenBackend:
             return None
         return self.mode == "core"
 
-    def _build_context(self, topology) -> ColgenTopologyContext:
+    def build_context(self, topology) -> ColgenTopologyContext:
+        """A fresh context (empty pool) carrying this backend's knobs."""
         return ColgenTopologyContext(
             topology,
             k=self.k,
@@ -313,7 +371,7 @@ class HighsColgenBackend:
                 _note("context_hit")
                 return context, True
             _note("context_miss")
-            context = self._build_context(topology)
+            context = self.build_context(topology)
             if warm:
                 self._context = context
             return context, False

@@ -1,4 +1,4 @@
-"""Fluid-flow throughput engine: LPs, FPTAS, bounds, proportionality."""
+"""Fluid-flow throughput engine: LPs, column generation, bounds, proportionality."""
 
 from .adversarial import (
     Conjecture24Evidence,
@@ -19,7 +19,6 @@ from .errors import (
 )
 from .colgen import path_colgen_throughput
 from .lp import ThroughputResult, max_concurrent_throughput, path_throughput
-from .mcf import approx_concurrent_throughput
 from .paths import all_shortest_paths, ecmp_next_hops, k_shortest_paths, path_edges
 from .proportionality import (
     SkewSweepResult,
@@ -41,7 +40,6 @@ __all__ = [
     "max_concurrent_throughput",
     "path_throughput",
     "path_colgen_throughput",
-    "approx_concurrent_throughput",
     "tm_throughput_upper_bound",
     "best_static_throughput_bound",
     "moore_bound_mean_distance",

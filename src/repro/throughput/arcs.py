@@ -1,8 +1,8 @@
 """Directed-arc tables shared by the throughput solvers.
 
-Both LP formulations (:mod:`repro.throughput.lp`) and the Garg–Könemann
-FPTAS (:mod:`repro.throughput.mcf`) operate on the same directed-arc
-view of a topology: both orientations of every cable, in graph edge
+The LP formulations (:mod:`repro.throughput.lp`) and column generation
+(:mod:`repro.throughput.colgen`) operate on the same directed-arc view
+of a topology: both orientations of every cable, in graph edge
 order, with per-arc capacities.  :class:`ArcTable` builds that view once
 — arc list, capacity vector, arc/node index maps, and numpy tail/head
 index arrays for vectorized constraint assembly.

@@ -73,15 +73,13 @@ class ThroughputResult:
         removed) their endpoints; the reported throughput covers only
         the surviving demands.  Zero on healthy topologies.
     iterations:
-        Solver iterations spent (simplex/IPM for the LPs, completed
-        phases for the MCF approximation); zero for degenerate results
-        that never reach a solver.
+        Simplex/IPM iterations the LP solver spent; zero for degenerate
+        results that never reach a solver.
 
     Notes
     -----
     Degenerate convention (shared by :func:`max_concurrent_throughput`,
-    :func:`path_throughput`, :func:`~repro.throughput.mcf.approx_concurrent_throughput`,
-    and :func:`~repro.throughput.bounds.tm_throughput_upper_bound`): an
+    :func:`path_throughput`, the ``highs-colgen`` backend, and :func:`~repro.throughput.bounds.tm_throughput_upper_bound`): an
     *empty* TM constrains nothing, so ``throughput`` is ``inf`` and
     ``per_server`` is ``1.0``.  A TM whose demands were *all* dropped as
     disconnected reports ``0.0`` / ``0.0`` with ``disconnected_pairs``
@@ -290,92 +288,6 @@ def _assemble_exact_vectorized(
     return a_eq, b_eq, a_ub
 
 
-def _solve_exact_assembled(
-    table: ArcTable,
-    num_dests: int,
-    a_eq: sp.csr_matrix,
-    b_eq: np.ndarray,
-    a_ub: sp.csr_matrix,
-    per_server_demand: float,
-    dropped: int,
-    context: Optional[Dict[str, object]] = None,
-) -> ThroughputResult:
-    """Solve pre-assembled exact-LP matrices and extract the result.
-
-    The ``linprog`` invocation and extraction shared by
-    :func:`_solve_exact` (fresh assembly per call) and the warm-started
-    :class:`repro.solvers.IncrementalTopologyContext` (which patches the
-    demand coefficients of a cached ``a_eq`` in place).  One code path
-    means incremental results are byte-identical to the per-call path on
-    identical matrices — by construction, not by tolerance.
-    """
-    num_arcs = table.num_arcs
-    num_vars = num_dests * num_arcs + 1
-    t_var = num_vars - 1
-    with obs.span("lp.solve", formulation="exact", variables=num_vars):
-        res = linprog(
-            _c_for_exact(num_vars),
-            A_ub=a_ub,
-            b_ub=table.caps,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(0, None)] * num_vars,
-            method="highs",
-        )
-    iterations = int(getattr(res, "nit", 0) or 0)
-    obs.add("lp.solver_iterations", iterations)
-    raise_for_linprog(res, formulation="exact", context=context)
-    t = float(res.x[t_var])
-
-    utilization: Dict[Tuple[int, int], float] = {}
-    flows = res.x[:-1].reshape(num_dests, num_arcs).sum(axis=0)
-    caps = table.caps
-    for a, (u, v) in enumerate(table.arcs):
-        utilization[(u, v)] = float(flows[a] / caps[a]) if caps[a] else 0.0
-
-    return ThroughputResult(
-        throughput=t,
-        per_server=min(1.0, t * per_server_demand),
-        link_utilization=utilization,
-        disconnected_pairs=dropped,
-        iterations=iterations,
-    )
-
-
-def _c_for_exact(num_vars: int) -> np.ndarray:
-    """The exact LP's objective vector: maximize t (minimize ``-t``)."""
-    c = np.zeros(num_vars)
-    c[num_vars - 1] = -1.0
-    return c
-
-
-def _solve_exact(
-    table: ArcTable,
-    tm: TrafficMatrix,
-    per_server_demand: float,
-    dropped: int,
-    context: Optional[Dict[str, object]] = None,
-) -> ThroughputResult:
-    """Assemble and solve the exact LP on a prepared :class:`ArcTable`.
-
-    The single implementation behind both :func:`max_concurrent_throughput`
-    and the batched :class:`repro.solvers.BatchedTopologyContext`:
-    sharing one code path (same matrices, same ``linprog`` invocation,
-    same extraction) is what makes batched results byte-identical to the
-    per-call path by construction.  ``tm`` must already be pre-filtered
-    (non-empty, routable demands only).
-    """
-    obs.add("lp.calls")
-    with obs.span("lp.assemble", formulation="exact", demands=tm.num_flows):
-        dests, demand_to = _demands_by_destination(tm)
-        num_dests = len(dests)
-        a_eq, b_eq, a_ub = _assemble_exact_vectorized(table, dests, demand_to)
-    return _solve_exact_assembled(
-        table, num_dests, a_eq, b_eq, a_ub, per_server_demand, dropped,
-        context=context,
-    )
-
-
 def max_concurrent_throughput(
     topology: Topology,
     tm: TrafficMatrix,
@@ -422,12 +334,45 @@ def max_concurrent_throughput(
         )
 
     table = ArcTable.from_topology(topology)
-    return _solve_exact(
-        table,
-        tm,
-        per_server_demand,
-        dropped,
+    obs.add("lp.calls")
+    with obs.span("lp.assemble", formulation="exact", demands=tm.num_flows):
+        dests, demand_to = _demands_by_destination(tm)
+        a_eq, b_eq, a_ub = _assemble_exact_vectorized(table, dests, demand_to)
+    num_arcs = table.num_arcs
+    num_vars = len(dests) * num_arcs + 1
+    c = np.zeros(num_vars)
+    c[-1] = -1.0  # maximize t
+    with obs.span("lp.solve", formulation="exact", variables=num_vars):
+        res = linprog(
+            c,
+            A_ub=a_ub,
+            b_ub=table.caps,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=[(0, None)] * num_vars,
+            method="highs",
+        )
+    iterations = int(getattr(res, "nit", 0) or 0)
+    obs.add("lp.solver_iterations", iterations)
+    raise_for_linprog(
+        res,
+        formulation="exact",
         context={"topology": topology.name, "demands": tm.num_flows},
+    )
+    t = float(res.x[-1])
+
+    utilization: Dict[Tuple[int, int], float] = {}
+    flows = res.x[:-1].reshape(len(dests), num_arcs).sum(axis=0)
+    caps = table.caps
+    for a, (u, v) in enumerate(table.arcs):
+        utilization[(u, v)] = float(flows[a] / caps[a]) if caps[a] else 0.0
+
+    return ThroughputResult(
+        throughput=t,
+        per_server=min(1.0, t * per_server_demand),
+        link_utilization=utilization,
+        disconnected_pairs=dropped,
+        iterations=iterations,
     )
 
 

@@ -92,26 +92,6 @@ class SkewSweepResult:
         ]
 
 
-def _solve_many(backend, topology, tms, warm: bool):
-    """Call ``solve_many`` with ``warm=`` when the backend accepts it.
-
-    Backends written against the :class:`repro.solvers.SolverBackend`
-    contract take the kwarg; test fakes and third-party backends with a
-    narrower signature still work without warm control.
-    """
-    import inspect
-
-    try:
-        params = inspect.signature(backend.solve_many).parameters
-    except (TypeError, ValueError):  # builtins / exotic callables
-        params = {}
-    if "warm" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    ):
-        return backend.solve_many(topology, tms, warm=warm)
-    return backend.solve_many(topology, tms)
-
-
 def skew_sweep(
     topology: Topology,
     fractions: Sequence[float],
@@ -122,7 +102,6 @@ def skew_sweep(
     k_paths: int = 8,
     seed: int = 0,
     trials: int = 1,
-    epsilon: float = 0.05,
     warm: bool = True,
 ) -> SkewSweepResult:
     """Measure per-server throughput as the active-server fraction shrinks.
@@ -133,11 +112,10 @@ def skew_sweep(
     ``trials > 1`` the reported value is the mean over TM seeds.
 
     All TMs go through one ``solve_many`` call, so a batching-capable
-    backend (``highs-colgen``, ``highs-batched``) amortizes its
-    per-topology structure across the whole sweep; with ``warm=True``
-    (the default) warm-capable backends may additionally reuse model
-    structure and simplex bases across points and across calls, while
-    ``warm=False`` forces every point cold.  Non-optimal solves do not
+    backend (``highs-colgen``) amortizes its per-topology structure
+    across the whole sweep; with ``warm=True`` (the default) it also
+    seeds each point from the path pool of earlier points and calls,
+    while ``warm=False`` forces every point cold.  Non-optimal solves do not
     raise: they land in ``statuses`` and leave ``nan`` at the affected
     fraction.
 
@@ -146,21 +124,18 @@ def skew_sweep(
     solver:
         A :data:`repro.registry.SOLVERS` name or spec string
         (``"highs-colgen"``, the default
-        :data:`repro.registry.DEFAULT_SOLVER`; ``"exact"``;
-        ``"mcf-approx:epsilon=0.1"``; ...) or an already-built backend
+        :data:`repro.registry.DEFAULT_SOLVER`; ``"highs-colgen:k=4"``;
+        ``"highs-paths"``; ...) or an already-built backend
         instance.  Unknown names raise ``ValueError`` listing the valid
         choices.
     k_paths:
         ``k`` for the paths backends (ignored by the others).
-    epsilon:
-        Accuracy knob for ``mcf-approx`` (ignored by the others).
     tm_builder:
         ``f(topology, fraction, seed) -> TrafficMatrix``; defaults to
         :func:`repro.traffic.patterns.longest_matching_tm`.
     warm:
-        Passed through to backends whose ``solve_many`` accepts it (the
-        :class:`repro.solvers.SolverBackend` contract); backends with a
-        legacy/foreign signature are called without it.
+        Passed through to ``solve_many`` (the
+        :class:`repro.solvers.SolverBackend` contract).
     """
     if hasattr(solver, "solve_many"):
         backend = solver
@@ -172,8 +147,6 @@ def skew_sweep(
         base = name.split(":", 1)[0]
         if base in ("paths", "highs-paths"):
             defaults["k"] = k_paths
-        elif base == "mcf-approx":
-            defaults["epsilon"] = epsilon
         backend = registry.solver(name, **defaults)
     if tm_builder is None:
         tm_builder = lambda topo, frac, s: longest_matching_tm(topo, frac, seed=s)
@@ -183,7 +156,7 @@ def skew_sweep(
         for x in fractions
         for trial in range(trials)
     ]
-    outcomes = _solve_many(backend, topology, tms, warm)
+    outcomes = backend.solve_many(topology, tms, warm=warm)
 
     values: List[float] = []
     statuses: List[str] = []

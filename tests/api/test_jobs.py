@@ -16,7 +16,7 @@ SWEEP_DOC = {
     "defaults": {
         "topology": {"family": "jellyfish", "switches": 8, "degree": 3,
                      "servers": 2, "seed": 1},
-        "workload": {"pattern": "longest_matching", "solver": "mcf-approx"},
+        "workload": {"pattern": "longest_matching", "solver": "highs-paths"},
         "engine": "lp",
         "seed": 1,
     },

@@ -43,8 +43,8 @@ def test_context_manifest(client):
         assert ctx.registries[registry_name], registry_name
     assert "POST /v1/throughput" in ctx.raw["endpoints"]
     assert set(ctx.caches) == {
-        "topologies", "solver_contexts", "results", "path_cache",
-        "incremental_contexts", "colgen_contexts", "warm_start",
+        "topologies", "results", "path_cache", "colgen_contexts",
+        "warm_start",
     }
     assert set(ctx.caches["warm_start"]) >= {"hit", "miss"}
     assert ctx.limits["max_body_bytes"] > 0
@@ -101,16 +101,59 @@ def test_throughput_alternate_solver(client):
     exact = client.throughput(XPANDER, solver="highs-exact")
     batched = client.throughput(XPANDER)
     assert exact.per_server() == pytest.approx(batched.per_server())
-    # Both exact backends share one warm LP context per topology.
+    # Both names resolve to highs-colgen and share its warm context.
     assert exact.warm["context"] == "miss"
     assert batched.warm["context"] == "hit"
 
 
 def test_throughput_non_context_solver(client):
-    approx = client.throughput(XPANDER, solver="mcf-approx:epsilon=0.05")
-    assert approx.warm["context"] is None  # no ArcTable involved
+    paths = client.throughput(XPANDER, solver="highs-paths")
+    assert paths.solver == "highs-paths"
+    assert paths.warm["context"] is None  # no path pool involved
     exact = client.throughput(XPANDER)
-    assert approx.per_server() == pytest.approx(exact.per_server(), rel=0.15)
+    # The fixed-k paths LP is a lower bound on the exact optimum.
+    assert paths.per_server() <= exact.per_server() + 1e-9
+    assert paths.per_server() == pytest.approx(exact.per_server(), rel=0.15)
+
+
+def test_default_solver_is_a_colgen_alias(client):
+    from repro import registry
+    from repro.throughput import max_concurrent_throughput
+
+    fractions = [0.5, 1.0]
+    first = client.throughput(JELLYFISH, fractions=fractions, seed=2)
+    # The reply echoes the /v1 default name; highs-colgen computes it.
+    assert first.solver == first.raw["solver"] == "highs-batched"
+    assert first.warm["context"] == "miss"
+    topo = registry.topology(JELLYFISH)
+    for point in first.results:
+        tm = registry.TRAFFIC.build(
+            "longest_matching", topo, fraction=point["fraction"], seed=2
+        )
+        oracle = max_concurrent_throughput(topo, tm)
+        assert point["per_server_throughput"] == pytest.approx(
+            oracle.per_server, abs=1e-9
+        )
+    again = client.throughput(JELLYFISH, fractions=[0.75], seed=2)
+    assert again.warm["context"] == "hit"
+
+
+def test_context_lists_solver_aliases(client):
+    solvers = client.context().registries["solvers"]
+    for alias in ("exact", "highs-exact", "highs-batched",
+                  "highs-incremental"):
+        assert solvers[alias] == "alias of highs-colgen"
+    assert "mcf-approx" not in solvers
+
+
+def test_removed_mcf_approx_is_bad_spec(client):
+    from repro.api import ApiError
+
+    with pytest.raises(ApiError) as info:
+        client.throughput(XPANDER, solver="mcf-approx")
+    assert info.value.status == 400
+    assert info.value.code == "bad_spec"
+    assert "highs-colgen" in str(info.value)
 
 
 def test_simulate_lp_engine(client):

@@ -1,10 +1,10 @@
 """Warm-state behaviour: the acceptance criterion of the service.
 
 A second request naming the same topology spec must hit the warm layers
-— the built topology, the exact-LP context (persistent ArcTable), and
+— the built topology, the colgen context (ArcTable + path pool), and
 the process-wide shared path cache — which is asserted here through the
 obs counters the caches emit (``api.topology.hits``,
-``api.context.hits``, ``pathcache.shared_hits``), not through private
+``api.colgen.hits``, ``pathcache.shared_hits``), not through private
 attributes.  Byte-identical queries short-circuit into the
 content-addressed result memo; ``"warm": false`` bypasses everything.
 """
@@ -40,7 +40,7 @@ def test_second_request_hits_warm_state_via_obs_counters(client):
         assert first.json["warm"]["topology"] == "miss"
         assert first.json["warm"]["context"] == "miss"
         assert _counter("api.topology.misses") == 1
-        assert _counter("api.context.misses") == 1
+        assert _counter("api.colgen.misses") == 1
 
         # Different fraction: skips the result memo, so the solve runs
         # again — against every warm layer.
@@ -50,7 +50,7 @@ def test_second_request_hits_warm_state_via_obs_counters(client):
         assert second.json["warm"]["topology"] == "hit"
         assert second.json["warm"]["context"] == "hit"
         assert _counter("api.topology.hits") >= 1
-        assert _counter("api.context.hits") >= 1
+        assert _counter("api.colgen.hits") >= 1
         assert _counter("pathcache.shared_hits") >= 1
         assert _counter("api.requests") == 2
 
@@ -78,7 +78,7 @@ def test_cold_mode_bypasses_every_warm_layer(client):
         assert resp.json["results"][0]["cached"] is False
     stats = client.service.state.stats()
     assert stats["topologies"]["entries"] == 0
-    assert stats["solver_contexts"]["entries"] == 0
+    assert stats["colgen_contexts"]["entries"] == 0
     assert stats["results"]["entries"] == 0
 
 
@@ -99,7 +99,7 @@ def test_context_reports_cache_stats(client):
     client.post("/throughput", {"topology": JELLYFISH}).raise_for_status()
     caches = client.get("/context").raise_for_status().json["caches"]
     assert caches["topologies"]["entries"] == 1
-    assert caches["solver_contexts"]["entries"] == 1
+    assert caches["colgen_contexts"]["entries"] == 1
     assert caches["results"]["entries"] == 1
     assert caches["path_cache"]["entries"] == 1
 
@@ -145,10 +145,12 @@ def test_result_memo_lru_eviction():
 
 
 def test_incremental_contexts_survive_across_requests(client):
-    """The ISSUE's acceptance: repeated requests with the incremental
-    solver warm-start off prior requests — visible through the
-    ``solver.warm_start.*`` counters and per-point flags."""
+    """Repeated requests naming ``highs-incremental`` (an alias of
+    ``highs-colgen``) warm-start off prior requests — visible through
+    the ``solver.warm_start.*`` counters and per-point flags."""
+    from repro import registry
     from repro.solvers import reset_warm_start_stats
+    from repro.throughput import max_concurrent_throughput
 
     reset_warm_start_stats()
     with obs.session():
@@ -160,25 +162,24 @@ def test_incremental_contexts_survive_across_requests(client):
         assert first.json["warm"]["context"] == "miss"
         assert first.json["results"][0]["warm_started"] is False
         assert _counter("solver.warm_start.miss") == 1
-        assert _counter("api.incremental.misses") == 1
+        assert _counter("api.colgen.misses") == 1
 
         # Different demand (scaled), same support: a warm re-solve off
-        # the model the *previous request* built.
+        # the path pool the *previous request* built.
         second = client.post(
             "/throughput",
             {"topology": JELLYFISH, "solver": "highs-incremental",
              "fraction": 1.0, "seed": 1, "per_server_demand": 0.5},
         ).raise_for_status()
         assert second.json["warm"]["context"] == "hit"
-        assert _counter("api.incremental.hits") == 1
+        assert second.json["results"][0]["warm_started"] is True
+        assert _counter("api.colgen.hits") == 1
 
-    exact = client.post(
-        "/throughput",
-        {"topology": JELLYFISH, "solver": "highs-exact", "fraction": 1.0,
-         "seed": 1},
-    ).raise_for_status()
+    topo = registry.topology(JELLYFISH)
+    tm = registry.TRAFFIC.build("longest_matching", topo, fraction=1.0, seed=1)
+    exact = max_concurrent_throughput(topo, tm)
     assert first.json["results"][0]["per_server_throughput"] == pytest.approx(
-        exact.json["results"][0]["per_server_throughput"], abs=1e-9
+        exact.per_server, abs=1e-9
     )
 
 
@@ -194,17 +195,17 @@ def test_context_surfaces_warm_start_counters_and_incremental_stats(client):
         ).raise_for_status()
     caches = client.get("/context").raise_for_status().json["caches"]
     warm_start = caches["warm_start"]
-    assert warm_start["models_built"] >= 1
+    assert warm_start["context_miss"] == 0  # the service owns the contexts
     assert warm_start["miss"] >= 1
-    incremental = caches["incremental_contexts"]
-    assert incremental["entries"] == 1
-    (ctx,) = incremental["contexts"]
-    assert ctx["models_built"] >= 1
-    assert ctx["cold_solves"] >= 1
-    assert ctx["highspy"] in (True, False)
+    colgen = caches["colgen_contexts"]
+    assert colgen["entries"] == 1
+    (ctx,) = colgen["contexts"]
+    assert ctx["pool_pairs"] >= 1
+    assert ctx["engine"] in ("highs-core", "linprog")
     # The third request repeated fraction 0.5 → served from the result
-    # memo, so solves stay at two and both were cold (new supports).
-    assert ctx["cold_solves"] + ctx["warm_solves"] == 2
+    # memo, so solves stay at two.
+    assert ctx["solves"] == 2
+    assert warm_start["hit"] + warm_start["miss"] == 2
 
 
 def test_incremental_cold_bypass(client):
@@ -215,7 +216,7 @@ def test_incremental_cold_bypass(client):
     assert resp.json["results"][0]["warm_started"] is False
     assert resp.json["results"][0]["basis_reused"] is False
     stats = client.service.state.stats()
-    assert stats["incremental_contexts"]["entries"] == 0
+    assert stats["colgen_contexts"]["entries"] == 0
 
 
 def test_concurrent_requests_share_one_warm_entry(client):
@@ -240,4 +241,4 @@ def test_concurrent_requests_share_one_warm_entry(client):
     assert statuses == [200, 200, 200, 200]
     stats = client.service.state.stats()
     assert stats["topologies"]["entries"] == 1
-    assert stats["solver_contexts"]["entries"] == 1
+    assert stats["colgen_contexts"]["entries"] == 1

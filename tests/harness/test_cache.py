@@ -71,6 +71,22 @@ class TestResultCache:
         assert current.version == repro.__version__ != "1.2.0"
         assert current.get(s) is None
 
+    def test_records_from_before_the_exact_aliases_miss(self, tmp_path):
+        # 1.4.0 made "exact" (and highs-exact/-batched/-incremental) an
+        # alias of highs-colgen.  The spec hash is unchanged, so only the
+        # version in the key keeps edge-LP records cached by 1.3.0 from
+        # being served.
+        s = spec(
+            engine="lp",
+            workload={"pattern": "longest_matching", "fraction": 0.5,
+                      "solver": "exact"},
+        )
+        ResultCache(str(tmp_path), version="1.3.0").put(s, ok_record(s))
+        assert ResultCache(str(tmp_path), version="1.3.0").get(s) is not None
+        current = ResultCache(str(tmp_path))
+        assert current.version == repro.__version__ != "1.3.0"
+        assert current.get(s) is None
+
     def test_failed_records_never_cached(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         s = spec()

@@ -3,8 +3,9 @@
 Every front end that solves an LP without a named solver — lp sweep
 specs, ``repro throughput``, ``skew_sweep`` and ``DesignTarget`` —
 resolves to :data:`repro.registry.DEFAULT_SOLVER` (``highs-colgen``).
-The ``/v1`` throughput endpoints keep ``highs-batched``.  The default
-must reproduce the edge-LP oracle (``highs-exact``) within 1e-9 and
+The ``/v1`` throughput endpoints name ``highs-batched``, an alias of it.
+The default must reproduce the edge-LP oracle
+(:func:`repro.throughput.max_concurrent_throughput`) within 1e-9 and
 batch a fixed-topology sweep through one ``solve_many``.
 """
 
@@ -19,7 +20,7 @@ from repro.design import DesignTarget
 from repro.harness import ExperimentSpec, Runner
 from repro.perf import clear_shared_caches
 from repro.solvers import DEFAULT_SOLVER
-from repro.throughput import skew_sweep
+from repro.throughput import max_concurrent_throughput, skew_sweep
 
 FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 TOPOLOGIES = (
@@ -96,8 +97,9 @@ def test_default_lp_spec_batches():
 
 
 def test_api_throughput_default_stays_batched():
-    # The /v1 default is pinned by the end-to-end benchmark's recorded
-    # replies (e2ebench/api_pins.json), not by the library default.
+    # The /v1 default name is pinned by the end-to-end benchmark's
+    # recorded replies (e2ebench/api_pins.json); it is an alias of the
+    # library default.
     clear_shared_caches()
     try:
         ev = ReproClient.in_process().throughput(
@@ -113,16 +115,16 @@ def test_api_throughput_default_stays_batched():
 )
 def test_default_matches_edge_lp_oracle(topology):
     default = Runner(inline=True, retries=0).run(_sweep(topology))
-    oracle = Runner(inline=True, retries=0).run(
-        _sweep(topology, solver="highs-exact")
-    )
-    assert default.ok and oracle.ok
-    for got, want in zip(default.records, oracle.records):
-        assert got.spec["workload"]["fraction"] == (
-            want.spec["workload"]["fraction"]
+    assert default.ok
+    topo = registry.topology(topology)
+    for record in default.records:
+        fraction = record.spec["workload"]["fraction"]
+        tm = registry.TRAFFIC.build(
+            "longest_matching", topo, fraction=fraction, seed=3
         )
-        assert got.metrics["per_server_throughput"] == pytest.approx(
-            want.metrics["per_server_throughput"], abs=1e-9
+        oracle = max_concurrent_throughput(topo, tm)
+        assert record.metrics["per_server_throughput"] == pytest.approx(
+            oracle.per_server, abs=1e-9
         )
 
 

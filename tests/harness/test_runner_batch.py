@@ -48,7 +48,8 @@ class TestAutoBatching:
 
     def test_batch_key_gates_on_backend_and_engine(self):
         assert Runner._batch_key(_specs("highs-batched")[0]) is not None
-        assert Runner._batch_key(_specs("exact")[0]) is None
+        assert Runner._batch_key(_specs("exact")[0]) is not None
+        assert Runner._batch_key(_specs("paths")[0]) is None
         assert Runner._batch_key(_specs("mcf-approx")[0]) is None
         flow = ExperimentSpec(
             name="f", engine="flow", topology=dict(TOPOLOGY),
@@ -95,11 +96,17 @@ class TestAutoBatching:
 
 class TestBatchFailureIsolation:
     def test_infeasible_point_becomes_failure_record(self, monkeypatch):
-        import repro.throughput.lp as lp
+        import repro.throughput.colgen as colgen
 
+        def infeasible(*args, **kwargs):
+            raise InfeasibleError("infeasible", formulation="colgen")
+
+        # Fail the column-generation master under either engine: the
+        # linprog fallback and the bundled HiGHS core.
         monkeypatch.setattr(
-            lp, "linprog", lambda *a, **k: _FakeRes(2, message="infeasible")
+            colgen, "linprog", lambda *a, **k: _FakeRes(2, message="infeasible")
         )
+        monkeypatch.setattr(colgen, "_raise_for_core_status", infeasible)
         records = execute_lp_batch(_specs("highs-batched"))
         assert all(r.status == "failed" for r in records)
         assert all(r.error.startswith("InfeasibleError:") for r in records)
@@ -124,7 +131,7 @@ class TestFatalErrors:
         # whose executor is the late-bound repro.harness.execute entry.
         monkeypatch.setattr("repro.harness.execute.execute_spec", boom)
         result = Runner(inline=True, retries=2, backoff_base_s=0.0).run(
-            _specs("exact")
+            _specs("paths")
         )
         assert all(not r.ok for r in result.records)
         assert all(r.attempts == 1 for r in result.records)
@@ -140,7 +147,7 @@ class TestFatalErrors:
 
         monkeypatch.setattr("repro.harness.execute.execute_spec", flaky)
         result = Runner(inline=True, retries=1, backoff_base_s=0.0).run(
-            _specs("exact")[:1]
+            _specs("paths")[:1]
         )
         assert not result.records[0].ok
         assert result.records[0].attempts == 2

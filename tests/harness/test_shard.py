@@ -44,7 +44,7 @@ def _specs(n=6, switches=8):
             "topology": {"family": "jellyfish", "switches": switches,
                          "degree": 3, "servers": 2, "seed": 1},
             "workload": {"pattern": "longest_matching",
-                         "solver": "mcf-approx",
+                         "solver": "highs-paths",
                          "fraction": round(0.4 + 0.1 * i, 2)},
             "engine": "lp",
             "seed": 1,

@@ -1,4 +1,4 @@
-"""LP/MCF engines on disconnected degraded topologies.
+"""LP engines on disconnected degraded topologies.
 
 Instead of crashing on a stale traffic matrix (demands naming racks
 that failures cut off or removed), every engine pre-filters the
@@ -9,8 +9,8 @@ disconnected pairs, solves the feasible remainder, and reports
 import pytest
 
 from repro.throughput import (
-    approx_concurrent_throughput,
     max_concurrent_throughput,
+    path_colgen_throughput,
     path_throughput,
 )
 from repro.topologies import fattree, xpander
@@ -19,7 +19,7 @@ from repro.traffic import TrafficMatrix, permutation_tm
 ENGINES = [
     max_concurrent_throughput,
     path_throughput,
-    approx_concurrent_throughput,
+    path_colgen_throughput,
 ]
 
 

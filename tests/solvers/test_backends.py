@@ -4,10 +4,8 @@ import pytest
 
 from repro import registry
 from repro.solvers import (
-    HighsBatchedBackend,
-    HighsExactBackend,
+    HighsColgenBackend,
     HighsPathsBackend,
-    McfApproxBackend,
     SolveOutcome,
     SolveStatus,
     SolverBackend,
@@ -43,8 +41,8 @@ class TestRegistry:
     def test_builtin_names(self):
         names = set(registry.SOLVERS.available())
         assert {
-            "exact", "highs-exact", "highs-batched", "highs-paths",
-            "paths", "mcf-approx",
+            "exact", "highs-exact", "highs-batched", "highs-incremental",
+            "highs-colgen", "highs-paths", "paths",
         } <= names
 
     def test_aliases_build_same_backend_class(self):
@@ -56,9 +54,9 @@ class TestRegistry:
         )
 
     def test_spec_string_parameters(self):
-        backend = registry.solver("mcf-approx:epsilon=0.1")
-        assert isinstance(backend, McfApproxBackend)
-        assert backend.epsilon == 0.1
+        backend = registry.solver("exact:k=4,max_rounds=50")
+        assert isinstance(backend, HighsColgenBackend)
+        assert (backend.k, backend.max_rounds) == (4, 50)
         assert registry.solver("highs-paths:k=4").k == 4
 
     def test_defaults_do_not_override_spec(self):
@@ -69,20 +67,28 @@ class TestRegistry:
         with pytest.raises(registry.RegistryError, match="unknown solver"):
             registry.solver("cplex")
 
+    def test_mcf_approx_is_removed(self):
+        with pytest.raises(
+            registry.RegistryError, match="valid choices: .*highs-colgen"
+        ):
+            registry.solver("mcf-approx")
+
     def test_describe_solver(self):
-        assert "batch" in registry.SOLVERS.describe("highs-batched").lower()
-        assert "epsilon" in registry.SOLVERS.describe("mcf-approx").lower()
+        assert "column generation" in registry.SOLVERS.describe("highs-colgen")
+        assert registry.SOLVERS.describe("highs-batched") == (
+            "alias of highs-colgen"
+        )
+        assert "lower bound" in registry.SOLVERS.describe("highs-paths")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            McfApproxBackend(epsilon=0.7)
+            HighsColgenBackend(k=0)
         with pytest.raises(ValueError):
             HighsPathsBackend(k=0)
 
     def test_batching_flags(self):
-        assert HighsBatchedBackend.supports_batching
-        assert not HighsExactBackend.supports_batching
-        assert not McfApproxBackend.supports_batching
+        assert HighsColgenBackend.supports_batching
+        assert not HighsPathsBackend.supports_batching
 
 
 class TestOutcomeClassification:
@@ -103,7 +109,7 @@ class TestOutcomeClassification:
             lambda *a, **k: _FakeRes(status, message="solver said no"),
         )
         topo, tm = small
-        outcome = HighsExactBackend().solve(topo, tm)
+        outcome = HighsPathsBackend().solve(topo, tm)
         assert outcome.status is terminal
         assert not outcome.ok
         assert outcome.result is None
@@ -120,16 +126,16 @@ class TestOutcomeClassification:
             lp, "linprog", lambda *a, **k: _FakeRes(0, success=True, x=None)
         )
         topo, tm = small
-        outcome = HighsExactBackend().solve(topo, tm)
+        outcome = HighsPathsBackend().solve(topo, tm)
         assert outcome.status is SolveStatus.NUMERICAL
         assert "no solution" in outcome.message
 
     def test_optimal_outcome(self, small):
         topo, tm = small
-        outcome = HighsExactBackend().solve(topo, tm)
+        outcome = HighsPathsBackend().solve(topo, tm)
         assert outcome.ok and outcome.status is SolveStatus.OPTIMAL
         assert outcome.status.value == "optimal"
-        assert outcome.backend == "highs-exact"
+        assert outcome.backend == "highs-paths"
         assert outcome.result.per_server > 0
         assert outcome.iterations > 0
         assert outcome.wall_time_s > 0
@@ -144,7 +150,7 @@ class TestOutcomeClassification:
         monkeypatch.setattr(lp, "linprog", boom)
         topo, tm = small
         with pytest.raises(KeyError):
-            HighsExactBackend().solve(topo, tm)
+            HighsPathsBackend().solve(topo, tm)
 
     def test_outcome_without_error_raises_base_class(self):
         outcome = SolveOutcome(
@@ -155,7 +161,7 @@ class TestOutcomeClassification:
 
     def test_default_solve_many_is_sequential(self, small):
         topo, tm = small
-        outcomes = McfApproxBackend().solve_many(topo, [tm, tm])
+        outcomes = HighsPathsBackend().solve_many(topo, [tm, tm])
         assert len(outcomes) == 2
         assert all(o.ok for o in outcomes)
 

@@ -1,13 +1,13 @@
-"""Warm-started incremental solving: equivalence, refactorization, flags.
+"""``highs-incremental``: the retired warm-started edge-LP backend's name.
 
-The ISSUE's property test: across ≥50 random jellyfish/xpander instances
-and multi-point load grids, warm-started objective values must match
-``highs-exact`` within 1e-9 (the scipy fallback is in fact byte-identical
-— it patches cached canonical CSR matrices into exactly what fresh
-assembly would build).  Plus the forced-refactorization contract: any
-topology change mid-batch — including a capacity-only change the
-structural content hash ignores — must rebuild the model, never reuse a
-stale basis.
+The name now resolves to :class:`~repro.solvers.HighsColgenBackend`,
+whose persistent path pool is the warm start.  Across 50 random
+jellyfish/xpander instances and multi-point load grids, solves naming
+it must match the edge-LP oracle
+(:func:`repro.throughput.max_concurrent_throughput`) within 1e-9.  Plus
+the warm-start contract the name always promised: any topology change
+between calls — including a capacity-only change the structural content
+hash ignores — must start a fresh context, never reuse a stale one.
 """
 
 import random
@@ -16,9 +16,7 @@ import pytest
 
 from repro import registry
 from repro.solvers import (
-    HighsIncrementalBackend,
-    IncrementalTopologyContext,
-    have_highspy,
+    HighsColgenBackend,
     reset_warm_start_stats,
     topology_fingerprint,
     warm_start_stats,
@@ -28,6 +26,10 @@ from repro.topologies import jellyfish, xpander
 from repro.traffic import longest_matching_tm
 
 LOAD_GRID = (0.5, 0.8, 1.0, 1.4)
+
+
+def _incremental():
+    return registry.solver("highs-incremental")
 
 
 def _random_instances(count, seed=20260808):
@@ -71,57 +73,23 @@ INSTANCES = _random_instances(50)
 
 @pytest.mark.parametrize("build", INSTANCES)
 def test_warm_objectives_match_exact_within_1e9(build):
-    """Property test: warm solves track highs-exact to 1e-9 everywhere."""
+    """Property test: warm solves track the edge LP to 1e-9 everywhere."""
     topo = build()
     base = longest_matching_tm(topo, 1.0, seed=1)
     tms = [base.scaled(s) for s in LOAD_GRID]
-    outcomes = HighsIncrementalBackend().solve_many(topo, tms)
+    outcomes = _incremental().solve_many(topo, tms)
     for tm, outcome in zip(tms, outcomes):
         assert outcome.ok
         exact = max_concurrent_throughput(topo, tm)
         assert abs(outcome.result.throughput - exact.throughput) <= 1e-9
         assert abs(outcome.result.per_server - exact.per_server) <= 1e-9
-    # The first point built the model; the rest warm-started off it.
+    # The first point built the path pool; the rest warm-started off it.
     assert [o.warm_started for o in outcomes] == [False, True, True, True]
-
-
-def test_fallback_is_byte_identical_to_exact():
-    """Stronger than the 1e-9 envelope: the scipy fallback patches the
-    cached matrices into exactly fresh assembly, so every field matches
-    bit for bit."""
-    topo = jellyfish(12, 4, 2, seed=3)
-    base = longest_matching_tm(topo, 1.0, seed=1)
-    tms = [base.scaled(s) for s in LOAD_GRID]
-    backend = HighsIncrementalBackend(mode="fallback")
-    for tm, outcome in zip(tms, backend.solve_many(topo, tms)):
-        exact = max_concurrent_throughput(topo, tm)
-        result = outcome.result
-        assert result.throughput == exact.throughput
-        assert result.per_server == exact.per_server
-        assert result.iterations == exact.iterations
-        assert result.link_utilization == exact.link_utilization
-        assert result.disconnected_pairs == exact.disconnected_pairs
-
-
-def test_varying_support_matches_exact():
-    """Skew-style sweeps change the demand support (different dests per
-    fraction): each support is its own structure, and repeats of a
-    support warm-start while results stay exact."""
-    topo = jellyfish(12, 4, 2, seed=3)
-    fractions = [0.4, 0.7, 1.0, 0.4, 0.7, 1.0]
-    tms = [longest_matching_tm(topo, f, seed=1) for f in fractions]
-    outcomes = HighsIncrementalBackend().solve_many(topo, tms)
-    for tm, outcome in zip(tms, outcomes):
-        exact = max_concurrent_throughput(topo, tm)
-        assert outcome.result.throughput == exact.throughput
-    assert [o.warm_started for o in outcomes] == [
-        False, False, False, True, True, True,
-    ]
 
 
 def test_topology_change_mid_batch_forces_refactorization():
     """A different topology between calls must rebuild, not reuse."""
-    backend = HighsIncrementalBackend()
+    backend = _incremental()
     topo_a = jellyfish(12, 4, 2, seed=3)
     topo_b = xpander(4, 6, 2, seed=0)
     tm_a = longest_matching_tm(topo_a, 1.0, seed=1)
@@ -148,7 +116,7 @@ def test_capacity_change_forces_refactorization():
         data["capacity"] *= 2.0
     assert topology_fingerprint(topo) != topology_fingerprint(scaled)
 
-    backend = HighsIncrementalBackend()
+    backend = _incremental()
     tm = longest_matching_tm(topo, 1.0, seed=1)
     cold = backend.solve_many(topo, [tm])
     recap = backend.solve_many(scaled, [tm])
@@ -161,7 +129,7 @@ def test_capacity_change_forces_refactorization():
 def test_warm_false_forces_every_point_cold():
     topo = jellyfish(12, 4, 2, seed=3)
     tm = longest_matching_tm(topo, 1.0, seed=1)
-    backend = HighsIncrementalBackend()
+    backend = _incremental()
     outcomes = backend.solve_many(topo, [tm, tm, tm], warm=False)
     assert [o.warm_started for o in outcomes] == [False, False, False]
     assert all(not o.basis_reused for o in outcomes)
@@ -174,17 +142,16 @@ def test_warm_start_counters_and_context_stats():
     reset_warm_start_stats()
     topo = jellyfish(12, 4, 2, seed=3)
     base = longest_matching_tm(topo, 1.0, seed=1)
-    backend = HighsIncrementalBackend()
+    backend = _incremental()
     backend.solve_many(topo, [base.scaled(s) for s in (0.5, 1.0, 1.5)])
     stats = warm_start_stats()
     assert stats["miss"] == 1
     assert stats["hit"] == 2
     assert stats["context_miss"] == 1
-    assert stats["models_built"] == 1
     ctx = backend.context_stats()
-    assert ctx["cold_solves"] == 1
+    assert ctx["solves"] == 3
     assert ctx["warm_solves"] == 2
-    assert ctx["structures"] == 1
+    assert ctx["pool_pairs"] == base.num_flows
     # A second solve_many on the same topology reuses the live context.
     backend.solve_many(topo, [base])
     assert warm_start_stats()["context_hit"] == 1
@@ -195,24 +162,23 @@ def test_degenerate_conventions_match_backend_contract():
     conventions (cf. tests/throughput/test_bounds.py)."""
     topo = jellyfish(10, 4, 2, seed=5)
     empty = longest_matching_tm(topo, 1.0, seed=1).restricted_to_pairs([])
-    context = IncrementalTopologyContext(topo)
-    result = context.solve(empty)
+    result = _incremental().solve(topo, empty).result
     assert result.throughput == float("inf")
     assert result.per_server == 1.0
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError, match="auto/highspy/fallback"):
-        HighsIncrementalBackend(mode="bogus")
-    if not have_highspy():
-        with pytest.raises(ValueError, match=r"\[perf\] extra"):
-            HighsIncrementalBackend(mode="highspy")
+    with pytest.raises(ValueError, match="auto/core/fallback"):
+        registry.solver("highs-incremental:mode=bogus")
+    # The highspy engine (and its [perf] extra) is gone.
+    with pytest.raises(ValueError, match="auto/core/fallback"):
+        registry.solver("highs-incremental:mode=highspy")
 
 
 def test_registry_exposes_incremental():
     assert "highs-incremental" in registry.SOLVERS
     backend = registry.solver("highs-incremental")
-    assert backend.name == "highs-incremental"
+    assert isinstance(backend, HighsColgenBackend)
     assert backend.supports_batching is True
     backend = registry.solver("highs-incremental:mode=fallback")
     assert backend.mode == "fallback"
@@ -231,30 +197,3 @@ def test_skew_sweep_routes_through_incremental_backend():
         topo, fractions, solver="highs-incremental", seed=1, warm=False
     )
     assert cold.throughput == exact.throughput
-
-
-def test_skew_sweep_warm_kwarg_tolerates_legacy_backends():
-    """Backends without the ``warm`` kwarg still work (no TypeError)."""
-
-    class LegacyBackend:
-        def solve_many(self, topology, tms):
-            return HighsIncrementalBackend().solve_many(topology, tms)
-
-    topo = jellyfish(10, 4, 2, seed=5)
-    result = skew_sweep(topo, [0.5, 1.0], solver=LegacyBackend(), seed=1)
-    assert result.ok
-
-
-@pytest.mark.skipif(not have_highspy(), reason="needs the [perf] extra")
-def test_highspy_basis_reuse_flags_and_equivalence():
-    """With highspy installed the warm path really reuses the basis —
-    and stays within 1e-9 of highs-exact."""
-    topo = jellyfish(12, 4, 2, seed=3)
-    base = longest_matching_tm(topo, 1.0, seed=1)
-    tms = [base.scaled(s) for s in LOAD_GRID]
-    backend = HighsIncrementalBackend(mode="highspy")
-    outcomes = backend.solve_many(topo, tms)
-    assert [o.basis_reused for o in outcomes] == [False, True, True, True]
-    for tm, outcome in zip(tms, outcomes):
-        exact = max_concurrent_throughput(topo, tm)
-        assert abs(outcome.result.throughput - exact.throughput) <= 1e-9

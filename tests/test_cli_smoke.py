@@ -34,8 +34,8 @@ def _obs_disabled():
          "--servers", "2", "--fractions", "1.0", "--solver",
          "highs-batched"],
         ["throughput", "jellyfish", "--switches", "8", "--degree", "4",
-         "--servers", "2", "--fractions", "1.0", "--solver", "mcf-approx",
-         "--epsilon", "0.1"],
+         "--servers", "2", "--fractions", "1.0", "--solver",
+         "highs-colgen"],
         ["cost"],
         ["cost", "--kind", "jellyfish", "--switches", "8", "--degree", "4",
          "--servers", "2"],
@@ -81,11 +81,12 @@ class TestExitCodes:
         class _Fake:
             status, success, x, message, nit = 2, False, None, "infeasible", 3
 
-        # The fake fails the edge LP, so name that solver explicitly.
+        # The fake fails the repro.throughput.lp LPs, so name the paths
+        # bound, which solves through them.
         monkeypatch.setattr(lp, "linprog", lambda *a, **k: _Fake())
         rc = main(["throughput", "jellyfish", "--switches", "8", "--degree",
                    "4", "--servers", "2", "--fractions", "1.0",
-                   "--solver", "exact"])
+                   "--solver", "paths"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "non-optimal" in captured.err

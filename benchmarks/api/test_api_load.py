@@ -67,7 +67,7 @@ def _drive(server, warm: bool):
                     "warm": warm,
                 }
                 t0 = time.perf_counter()
-                resp = client.post("/throughput", body)
+                resp = client.post("/v1/throughput", body)
                 elapsed = time.perf_counter() - t0
                 with lock:
                     latencies.append(elapsed)
@@ -105,7 +105,7 @@ def test_api_load_warm_vs_cold():
         # Prime once so the warm phase measures steady state, not the
         # first-touch build (the cold phase rebuilds per request anyway).
         HttpClient(server.host, server.port, timeout=300.0).post(
-            "/throughput", {"topology": TOPOLOGY, "fractions": FRACTIONS}
+            "/v1/throughput", {"topology": TOPOLOGY, "fractions": FRACTIONS}
         ).raise_for_status()
 
         cold = _drive(server, warm=False)

@@ -14,12 +14,7 @@ Run:  python examples/failure_resilience.py
 from repro.analysis import format_series
 from repro.sim import NetworkParams, run_packet_experiment
 from repro.throughput import max_concurrent_throughput
-from repro.topologies import (
-    fattree,
-    largest_connected_component,
-    random_link_failures,
-    xpander,
-)
+from repro.topologies import fattree, largest_connected_component, xpander
 from repro.traffic import FlowSpec, permutation_tm
 
 FAILURES = [0.0, 0.05, 0.1, 0.2]
@@ -29,7 +24,9 @@ def fluid_throughput(topo, frac: float) -> float:
     degraded = (
         topo
         if frac == 0
-        else largest_connected_component(random_link_failures(topo, frac, seed=7))
+        else largest_connected_component(
+            topo.degrade(f"links:fraction={frac},seed=7")
+        )
     )
     tors = [t for t in degraded.tors if degraded.servers_at(t) > 0]
     tm = permutation_tm(tors, 3, fraction=0.5, seed=0)
@@ -40,7 +37,9 @@ def packet_fct_ms(topo, frac: float) -> float:
     degraded = (
         topo
         if frac == 0
-        else largest_connected_component(random_link_failures(topo, frac, seed=7))
+        else largest_connected_component(
+            topo.degrade(f"links:fraction={frac},seed=7")
+        )
     )
     servers = sorted(degraded.server_to_tor())
     flows = [

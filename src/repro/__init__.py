@@ -8,9 +8,10 @@ The package provides:
 * :mod:`repro.traffic` — the paper's traffic matrices, pair
   distributions (A2A, Permute, Skew, ProjecToR-like), flow-size
   distributions (pFabric web search, Pareto-HULL), and workloads;
-* :mod:`repro.throughput` — fluid-flow throughput: exact and path-based
-  max-concurrent-flow LPs, a Garg–Könemann FPTAS, NSDI'14 upper bounds,
-  and the throughput-proportionality flexibility metric;
+* :mod:`repro.throughput` — fluid-flow throughput: exact (column
+  generation, with the edge LP as its reference) and fixed-k path-based
+  max-concurrent-flow LPs, NSDI'14 upper bounds, and the
+  throughput-proportionality flexibility metric;
 * :mod:`repro.sim` — a packet-level discrete-event simulator with DCTCP
   and ECMP / VLB / HYB routing;
 * :mod:`repro.flowsim` — a fast flow-level (max-min fair) simulator;

@@ -53,7 +53,11 @@ __all__ = [
 
 @dataclass
 class ApiResponse:
-    """One service response: HTTP status + parsed JSON payload."""
+    """One service response: HTTP status + parsed JSON payload.
+
+    ``headers`` holds the response headers when the reply came over the
+    wire (:class:`HttpClient`); in-process replies have none.
+    """
 
     status: int
     json: Dict[str, Any]
@@ -104,10 +108,10 @@ class InProcessClient:
         body: Union[Dict[str, Any], bytes, str, None] = None,
         request_id: Optional[str] = None,
     ) -> ApiResponse:
-        status, payload, headers = self.service.dispatch(
+        status, payload = self.service.dispatch(
             method, path, body, request_id=request_id
         )
-        return ApiResponse(status=status, json=payload, headers=headers)
+        return ApiResponse(status=status, json=payload)
 
     def get(self, path: str, **kwargs: Any) -> ApiResponse:
         return self.request("GET", path, **kwargs)

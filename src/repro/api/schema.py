@@ -1,17 +1,18 @@
-"""The ``ExperimentSpec`` JSON schema served at ``GET /schema``.
+"""The ``ExperimentSpec`` JSON schema served at ``GET /v1/schema``.
 
 Built *from* the dataclass and the registries rather than maintained by
 hand: the property list is derived from
 ``ExperimentSpec.__dataclass_fields__`` (generation fails loudly if a
 new spec field lacks a schema entry — see the guard in
 :func:`experiment_spec_schema`), and every enumeration (topology
-families, workload patterns, engines, routings, solver names) is read
-from the live registries, so the schema can never drift from what the
-validator actually accepts.
+families, workload patterns, engines, solver names) and the routing
+pattern are read from the live registries, so the schema can never
+drift from what the validator actually accepts.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any, Dict
 
 from ..harness.spec import ENGINES, ExperimentSpec
@@ -29,6 +30,11 @@ def _nullable(schema: Dict[str, Any]) -> Dict[str, Any]:
     out = dict(schema)
     out["type"] = [schema["type"], "null"]
     return out
+
+
+def _routing_pattern(names) -> str:
+    """A registered routing name, optionally followed by ``:params``."""
+    return "^(" + "|".join(re.escape(n) for n in names) + ")(:.*)?$"
 
 
 def _field_schemas() -> Dict[str, Dict[str, Any]]:
@@ -82,8 +88,11 @@ def _field_schemas() -> Dict[str, Dict[str, Any]]:
         },
         "routing": {
             "type": "string",
-            "description": "routing policy (packet: any; flow: ecmp/vlb/hyb)",
-            "enum": list(registry.ROUTINGS.available()),
+            "description": (
+                "routing spec, 'name' or 'name:key=value,...' (packet: "
+                "any registered routing; flow: ecmp/vlb/hyb)"
+            ),
+            "pattern": _routing_pattern(registry.ROUTINGS.available()),
         },
         "engine": {"type": "string", "enum": list(ENGINES)},
         "seed": {"type": "integer", "description": "master seed"},

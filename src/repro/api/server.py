@@ -58,20 +58,12 @@ class _Handler(BaseHTTPRequestHandler):
     workers: Optional[threading.Semaphore] = None
     quiet = True
 
-    def _respond(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        rid: str,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def _respond(self, status: int, payload: Dict[str, Any], rid: str) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Request-Id", rid)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -101,17 +93,15 @@ class _Handler(BaseHTTPRequestHandler):
             gate.acquire()
         try:
             # The raw path (query string included) goes to the service:
-            # query parsing and /v1 canonicalization are semantics, and
+            # query parsing and path normalization are semantics, and
             # both transports must agree on them.
-            status, payload, headers = self.service.dispatch(
+            status, payload = self.service.dispatch(
                 method, self.path, body, request_id=rid or None
             )
         finally:
             if gate is not None:
                 gate.release()
-        self._respond(
-            status, payload, payload.get("request_id", rid or "-"), headers
-        )
+        self._respond(status, payload, payload.get("request_id", rid or "-"))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._handle("GET")

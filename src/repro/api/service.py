@@ -1,9 +1,9 @@
 """The endpoint logic of the topology-evaluation service.
 
 :class:`ApiService` is the transport-independent core: it maps
-``(method, path, body)`` to ``(status, JSON payload, extra headers)``
-and owns the warm :class:`~repro.api.state.WarmState`.  The stdlib HTTP
-front end (:mod:`repro.api.server`) and the in-process test client
+``(method, path, body)`` to ``(status, JSON payload)`` and owns the
+warm :class:`~repro.api.state.WarmState`.  The stdlib HTTP front end
+(:mod:`repro.api.server`) and the in-process test client
 (:mod:`repro.api.client`) both drive this one dispatcher, so every
 status code, error body, and cache interaction is exercised identically
 with and without sockets.
@@ -35,11 +35,9 @@ Endpoints (all mounted under the versioned ``/v1`` prefix)
   campaigns and ``kind: "design"`` searches; submit, poll
   state/progress, cancel.
 
-Legacy unversioned paths (``/context``, ``/sweep``, …) remain as shims:
-they dispatch to the same handlers but answer with a ``Deprecation:
-true`` header and a ``Link: </v1/...>; rel="successor-version"``
-pointer, and are counted separately in the ``/v1/context`` request
-statistics.
+Any other path, unversioned ones (``/healthz``, ``/throughput``)
+included, answers 404 ``not_found`` with every ``/v1`` path listed in
+``details.paths``.
 
 Warm-state semantics: repeated queries naming the same topology spec
 reuse the built topology, its ``highs-colgen``
@@ -93,10 +91,10 @@ __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
 ]
 
-#: Service payload-shape identifier, reported in ``/context``.
+#: Service payload-shape identifier, reported in ``/v1/context``.
 SERVICE_SCHEMA = "repro.api/2"
 
-#: Canonical mount point; unversioned paths are deprecated shims.
+#: The one mount point of every endpoint.
 API_PREFIX = "/v1"
 
 DEFAULT_MAX_BODY_BYTES = 2 * 1024 * 1024
@@ -126,7 +124,7 @@ class ApiService:
     ----------
     cache_dir:
         Optional content-addressed :class:`ResultCache` directory for
-        ``/simulate`` and ``/sweep`` records (``None`` disables disk
+        ``/v1/simulate`` and ``/v1/sweep`` records (``None`` disables disk
         caching; the in-memory warm state is always on).
     max_body_bytes:
         Reject larger request bodies with 413.
@@ -167,7 +165,6 @@ class ApiService:
         self._counter_lock = threading.Lock()
         self.request_counts: Dict[str, int] = {}
         self.error_counts: Dict[str, int] = {}
-        self.deprecated_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -192,37 +189,27 @@ class ApiService:
         path: str,
         body: Union[bytes, str, Dict[str, Any], None] = None,
         request_id: Optional[str] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """Handle one request; returns ``(status, payload, headers)``.
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Handle one request; returns ``(status, payload)``.
 
         Never raises: every failure is classified into the uniform error
         body (see :mod:`repro.api.errors`).  ``body`` may be raw bytes
         (the HTTP server), a str, or an already-parsed mapping (the
         in-process client) — size and JSON validation run on raw forms.
         ``path`` may carry a query string; it is parsed here so both
-        transports agree on semantics.  Requests on legacy unversioned
-        paths are answered by the ``/v1`` handler with a ``Deprecation``
-        header and counted separately.
+        transports agree on semantics.
         """
         rid = (request_id or "").strip()[:64] or uuid.uuid4().hex[:12]
         started = time.perf_counter()
         raw_path, _, raw_query = str(path).partition("?")
         clean = raw_path.rstrip("/") or "/"
-        legacy = clean != "/" and not (
-            clean == API_PREFIX or clean.startswith(API_PREFIX + "/")
-        )
-        canonical = API_PREFIX + clean if legacy else clean
         query = {
             key: values[-1]
             for key, values in urllib.parse.parse_qs(raw_query).items()
         }
-        headers: Dict[str, str] = {}
-        endpoint = f"{method} {self._endpoint_path(canonical)}"
+        endpoint = f"{method} {self._endpoint_path(clean)}"
         try:
-            handler = self._resolve(method, canonical)
-            if legacy:
-                headers["Deprecation"] = "true"
-                headers["Link"] = f'<{canonical}>; rel="successor-version"'
+            handler = self._resolve(method, clean)
             parsed = self._parse_body(body) if method == "POST" else {}
             result = handler(parsed, query)
             if isinstance(result, tuple):
@@ -233,8 +220,8 @@ class ApiService:
             error = classify_exception(exc)
             status, payload = error.status, error.payload(rid)
         payload["request_id"] = rid
-        self._note_request(endpoint, rid, status, started, deprecated=legacy)
-        return status, payload, headers
+        self._note_request(endpoint, rid, status, started)
+        return status, payload
 
     @staticmethod
     def _endpoint_path(path: str) -> str:
@@ -307,12 +294,7 @@ class ApiService:
         return parsed
 
     def _note_request(
-        self,
-        endpoint: str,
-        rid: str,
-        status: int,
-        started: float,
-        deprecated: bool = False,
+        self, endpoint: str, rid: str, status: int, started: float
     ) -> None:
         elapsed = time.perf_counter() - started
         with self._counter_lock:
@@ -323,15 +305,9 @@ class ApiService:
                 self.error_counts[endpoint] = (
                     self.error_counts.get(endpoint, 0) + 1
                 )
-            if deprecated:
-                self.deprecated_counts[endpoint] = (
-                    self.deprecated_counts.get(endpoint, 0) + 1
-                )
         obs.add("api.requests")
         if status >= 400:
             obs.add("api.errors")
-        if deprecated:
-            obs.add("api.requests.deprecated")
         run = obs.current()
         if run is not None:
             run.record_span(
@@ -416,7 +392,6 @@ class ApiService:
         with self._counter_lock:
             requests = dict(self.request_counts)
             errors = dict(self.error_counts)
-            deprecated = dict(self.deprecated_counts)
         payload = {
             "service": SERVICE_SCHEMA,
             "api_version": API_PREFIX.lstrip("/"),
@@ -445,7 +420,6 @@ class ApiService:
             "requests": {
                 "by_endpoint": requests,
                 "errors": errors,
-                "deprecated": deprecated,
             },
             "limits": {
                 "max_body_bytes": self.max_body_bytes,
@@ -462,7 +436,7 @@ class ApiService:
         return payload
 
     # ------------------------------------------------------------------
-    # POST /throughput (and the shared solve core /compare reuses)
+    # POST /v1/throughput (and the shared solve core /v1/compare reuses)
     # ------------------------------------------------------------------
     def _throughput(
         self, body: Dict[str, Any], _query: Optional[Dict[str, str]] = None
@@ -552,7 +526,6 @@ class ApiService:
             entry = self._outcome_entry(fraction, outcome)
             if colgen is not None:
                 entry["warm_started"] = outcome.warm_started
-                entry["basis_reused"] = outcome.basis_reused
             if warm and outcome.ok:
                 self.state.result_put(memo_key, entry)
             results.append({**entry, "cached": False})
@@ -630,7 +603,7 @@ class ApiService:
         return entry
 
     # ------------------------------------------------------------------
-    # POST /simulate
+    # POST /v1/simulate
     # ------------------------------------------------------------------
     def _simulate(
         self, body: Dict[str, Any], _query: Optional[Dict[str, str]] = None
@@ -653,7 +626,7 @@ class ApiService:
         return {"record": record.to_dict(), "spec_hash": spec.content_hash()}
 
     # ------------------------------------------------------------------
-    # POST /sweep
+    # POST /v1/sweep
     # ------------------------------------------------------------------
     def _sweep(
         self, body: Dict[str, Any], _query: Optional[Dict[str, str]] = None
@@ -701,7 +674,7 @@ class ApiService:
         return doc
 
     # ------------------------------------------------------------------
-    # POST /design — inverse design against the warm engine
+    # POST /v1/design — inverse design against the warm engine
     # ------------------------------------------------------------------
     def _parse_design_target(self, body: Dict[str, Any]) -> DesignTarget:
         """Validate the ``target`` document and bound its candidate space."""
@@ -809,7 +782,7 @@ class ApiService:
         return {"job": job.summary()}
 
     # ------------------------------------------------------------------
-    # POST /compare
+    # POST /v1/compare
     # ------------------------------------------------------------------
     def _compare(
         self, body: Dict[str, Any], _query: Optional[Dict[str, str]] = None

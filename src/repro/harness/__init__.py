@@ -25,7 +25,7 @@ or from the shell: ``python -m repro sweep sweep.json``.
 """
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache
-from .execute import build_topology, execute_spec
+from .execute import execute_spec
 from .records import (
     ResultsStore,
     RunRecord,
@@ -64,7 +64,6 @@ __all__ = [
     "expand_sweep",
     "load_sweep_file",
     "execute_spec",
-    "build_topology",
     "RunRecord",
     "ResultsStore",
     "provenance",

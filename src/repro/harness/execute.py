@@ -20,7 +20,6 @@ content-addressed cache sound: see the determinism test in
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from .. import registry
@@ -33,23 +32,7 @@ from ..traffic import PoissonArrivals, Workload, pareto_hull, pfabric_web_search
 from .records import RunRecord, provenance
 from .spec import ExperimentSpec, SpecError
 
-__all__ = ["build_topology", "execute_spec", "execute_lp_batch"]
-
-
-def build_topology(topo_spec: Mapping[str, Any]) -> Topology:
-    """Deprecated: build the topology a spec's ``topology`` mapping describes.
-
-    Use :func:`repro.registry.topology`, which accepts the same mappings
-    plus compact string specs.  This shim delegates verbatim (parameter
-    names mirror the CLI: see ``registry.TOPOLOGIES.describe``).
-    """
-    warnings.warn(
-        "harness.execute.build_topology is deprecated; use "
-        "repro.registry.topology",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_topology(topo_spec)
+__all__ = ["execute_spec", "execute_lp_batch"]
 
 
 def _build_topology(topo_spec: Mapping[str, Any]) -> Topology:
@@ -176,7 +159,7 @@ def _run_packet(
     spec: ExperimentSpec, topology: Topology, flows
 ) -> Tuple[FlowStats, Dict[str, float]]:
     defaults: Dict[str, Any] = {"seed": spec.seed}
-    if spec.routing == "hyb":
+    if registry.parse_spec(spec.routing, key="name")[0] == "hyb":
         defaults["hyb_threshold_bytes"] = spec.hyb_threshold_bytes
     policy = registry.routing(spec.routing, topology, **defaults)
     sim = PacketSimulation(

@@ -97,8 +97,9 @@ class ExperimentSpec:
         batching-capable solver on a shared topology are solved through
         one ``solve_many`` batch by the Runner.
     routing:
-        Routing policy name (packet engine: any ``make_routing`` name;
-        flow engine: ``ecmp``/``vlb``/``hyb``).  Ignored by ``lp``.
+        Routing policy (packet engine: any :data:`repro.registry.ROUTINGS`
+        spec, bare or parameterized like ``"ksp:k=8"``; flow engine:
+        ``ecmp``/``vlb``/``hyb``).  Ignored by ``lp``.
     engine:
         ``packet`` (discrete-event), ``flow`` (fluid max-min), or
         ``lp`` (throughput LP).
@@ -236,16 +237,28 @@ class ExperimentSpec:
             # Normalize to the JSON spec form so string and mapping
             # inputs hash identically and records stay serializable.
             self.failures = scenario.to_spec()
-        from ..sim.simulation import ROUTING_CHOICES
-
-        if self.engine == "packet" and self.routing not in ROUTING_CHOICES:
-            raise SpecError(
-                f"unknown routing {self.routing!r}; "
-                f"valid choices: {ROUTING_CHOICES}"
-            )
+        if self.engine == "packet":
+            self._validate_packet_routing()
         if self.engine == "flow" and self.routing not in ("ecmp", "vlb", "hyb"):
             raise SpecError(
                 f"flow engine supports ecmp/vlb/hyb, got {self.routing!r}"
+            )
+
+    def _validate_packet_routing(self) -> None:
+        """``routing`` must be a :data:`repro.registry.ROUTINGS` spec,
+        bare (``"ksp"``) or parameterized (``"ksp:k=8"``)."""
+        from ..registry import ROUTINGS, RegistryError, parse_spec
+
+        if not isinstance(self.routing, str):
+            raise SpecError(f"routing must be a string, got {self.routing!r}")
+        try:
+            name, _ = parse_spec(self.routing, key="name")
+        except RegistryError as exc:
+            raise SpecError(f"bad routing spec: {exc}") from exc
+        if name not in ROUTINGS:
+            raise SpecError(
+                f"unknown routing {name!r}; valid choices: "
+                + ", ".join(ROUTINGS.available())
             )
 
     @property

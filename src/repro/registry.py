@@ -1,8 +1,7 @@
 """Unified string-spec construction registry: topologies, traffic, routing.
 
 One discovery-and-construction surface for the objects experiments are
-built from, replacing the per-module if/elif chains (``cli``'s topology
-dispatch, the harness's family switch, ``make_routing``'s dict).  Each
+built from, shared by the CLI, the harness specs and the API.  Each
 family of objects lives in a :class:`Registry` keyed by name:
 
 * :data:`TOPOLOGIES` — ``fattree``, ``jellyfish``, ``xpander``,

@@ -13,9 +13,8 @@ Modes
 -----
 ``links`` / ``switches``
     Uniform-random failures — the Jellyfish/Xpander resilience ablation.
-    Select by ``fraction`` (replicating the historical RNG sequence of
-    ``random_link_failures`` / ``random_switch_failures`` bit-for-bit),
-    by ``count``, or by naming elements explicitly.
+    Select by ``fraction`` (a seeded sample of the sorted cables or
+    switches), by ``count``, or by naming elements explicitly.
 ``pods`` / ``aggregation``
     Correlated fat-tree failures: whole-pod wipeout (a pod's aggregation
     *and* edge switches die — the paper's "fat-trees lose subtrees"
@@ -71,9 +70,8 @@ MODES = (
     "bisection",
 )
 
-#: Modes whose random fraction must replicate the historical
-#: ``random_*_failures`` bound of [0, 1); the structural modes accept a
-#: full wipeout (fraction 1.0).
+#: Modes whose random fraction must lie in [0, 1); the structural modes
+#: accept a full wipeout (fraction 1.0).
 _HALF_OPEN_FRACTION = ("links", "switches")
 
 
@@ -273,13 +271,13 @@ class FailureScenario:
         if self.mode == "links":
             if self.links is not None:
                 return self.links, ()
-            # Exact historical RNG sequence of random_link_failures.
+            # Seeded sample of the sorted cables.
             edges = sorted(tuple(sorted(e)) for e in g.edges())
             return tuple(rng.sample(edges, self._resolve_count(len(edges)))), ()
         if self.mode == "switches":
             if self.switches is not None:
                 return (), self.switches
-            # Exact historical RNG sequence of random_switch_failures.
+            # Seeded sample of the switches.
             switches = topology.switches
             count = self._resolve_count(len(switches))
             return (), tuple(rng.sample(switches, count))

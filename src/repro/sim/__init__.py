@@ -15,12 +15,7 @@ from .routing import (
     RoutingPolicy,
     VlbRouting,
 )
-from .simulation import (
-    ROUTING_CHOICES,
-    PacketSimulation,
-    make_routing,
-    run_packet_experiment,
-)
+from .simulation import PacketSimulation, run_packet_experiment
 from .stats import SHORT_FLOW_BYTES, FlowRecord, FlowStats, percentile
 from .mptcp import MptcpFlow
 from .switch import Switch
@@ -54,8 +49,6 @@ __all__ = [
     "SimulatedNetwork",
     "PacketSimulation",
     "run_packet_experiment",
-    "make_routing",
-    "ROUTING_CHOICES",
     "MptcpFlow",
     "LinkStats",
     "NetworkReport",

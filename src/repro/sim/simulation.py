@@ -9,7 +9,6 @@ case unfinished flows are reported).
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, Optional, Sequence, Union
 
 from .. import obs, registry
@@ -24,39 +23,7 @@ from .tcp import TransportParams
 __all__ = [
     "PacketSimulation",
     "run_packet_experiment",
-    "make_routing",
-    "ROUTING_CHOICES",
 ]
-
-#: Every routing name the registry knows (CLI + harness specs).  The
-#: factories themselves live in :mod:`repro.sim.routing` and register
-#: with :data:`repro.registry.ROUTINGS`.
-ROUTING_CHOICES = registry.ROUTINGS.available()
-
-
-def make_routing(
-    name: str,
-    topology: Topology,
-    seed: int = 0,
-    hyb_threshold_bytes: int = 100_000,
-) -> RoutingPolicy:
-    """Deprecated: construct a routing policy by name.
-
-    Use :func:`repro.registry.routing` instead — it accepts the same
-    names plus parameterized specs (``"ksp:k=8"``).  This shim keeps the
-    PR 1 signature alive and delegates verbatim.
-    """
-    warnings.warn(
-        "make_routing is deprecated; use repro.registry.routing "
-        "(e.g. registry.routing('hyb', topology, seed=0))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    defaults = {"seed": seed}
-    if name == "hyb":
-        defaults["hyb_threshold_bytes"] = hyb_threshold_bytes
-    return registry.routing(name, topology, **defaults)
-
 
 class PacketSimulation:
     """One packet-level experiment on one topology."""

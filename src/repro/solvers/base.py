@@ -75,10 +75,6 @@ class SolveOutcome:
         True when the solve was seeded from earlier solves (the
         ``highs-colgen`` path pool covered every demand pair); always
         False for cold paths.
-    basis_reused:
-        True when the solver re-solved from a previous simplex basis.
-        No built-in backend does (``highs-colgen`` rebuilds its master
-        per solve), so this stays False.
     """
 
     status: SolveStatus
@@ -89,7 +85,6 @@ class SolveOutcome:
     message: str = ""
     error: Optional[SolverFailure] = field(default=None, repr=False)
     warm_started: bool = False
-    basis_reused: bool = False
 
     @property
     def ok(self) -> bool:

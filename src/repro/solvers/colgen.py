@@ -141,10 +141,7 @@ class ColgenTopologyContext:
         self.warm_solves = 0
         self.pricing_rounds = 0
         self.columns_added = 0
-        self.last_solve: Dict[str, bool] = {
-            "warm_started": False,
-            "basis_reused": False,
-        }
+        self.last_solve: Dict[str, bool] = {"warm_started": False}
         self.last_stats: Optional[ColgenStats] = None
 
     # ------------------------------------------------------------------
@@ -165,7 +162,7 @@ class ColgenTopologyContext:
     def _solve_locked(
         self, tm, per_server_demand: float, reuse_pool: bool
     ) -> ThroughputResult:
-        self.last_solve = {"warm_started": False, "basis_reused": False}
+        self.last_solve = {"warm_started": False}
         if tm.num_flows == 0:
             return ThroughputResult(throughput=float("inf"), per_server=1.0)
         tm, dropped = _drop_by_labels(tm, self.labels)
@@ -261,7 +258,6 @@ def colgen_solve_outcome(
             attrs={
                 "backend": backend_name,
                 "warm_started": info["warm_started"],
-                "basis_reused": info["basis_reused"],
                 "pricing_rounds": (
                     context.last_stats.rounds
                     if context.last_stats is not None
@@ -279,7 +275,6 @@ def colgen_solve_outcome(
         message=message,
         error=error,
         warm_started=info["warm_started"],
-        basis_reused=info["basis_reused"],
     )
 
 

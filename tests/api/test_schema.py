@@ -1,4 +1,6 @@
-"""The /schema document must track the dataclass and the registries."""
+"""The /v1/schema document must track the dataclass and the registries."""
+
+import re
 
 from repro import registry
 from repro.api import experiment_spec_schema
@@ -24,7 +26,11 @@ def test_enums_are_read_from_live_registries():
     workload = props["workload"]["properties"]
     assert workload["pattern"]["enum"] == list(registry.TRAFFIC.available())
     assert workload["solver"]["enum"] == list(registry.SOLVERS.available())
-    assert props["routing"]["enum"] == list(registry.ROUTINGS.available())
+    routing = re.compile(props["routing"]["pattern"])
+    for name in registry.ROUTINGS.available():
+        assert routing.match(name)
+        assert routing.match(name + ":seed=3")
+    assert not routing.match("warp")
     assert props["engine"]["enum"] == list(ENGINES)
 
 

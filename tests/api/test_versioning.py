@@ -1,16 +1,13 @@
-"""The /v1 mount and the legacy-path deprecation shims.
+"""The /v1 mount: every endpoint lives under ``/v1``.
 
-Every endpooint lives canonically under ``/v1``; the unversioned paths
-from the service's first release keep answering — same handler, same
-payload — but carry a ``Deprecation: true`` header plus a ``Link``
-pointing at the successor, and are tallied separately so operators can
-see who still uses them.
+Unversioned paths answer 404 ``not_found``; ``tests/test_retired_surface.py``
+pins that, in process and over the wire.
 """
 
 import pytest
 
 from repro import registry
-from repro.api import ApiServer, ApiService, HttpClient, InProcessClient
+from repro.api import ApiService, InProcessClient
 
 
 @pytest.fixture()
@@ -23,35 +20,9 @@ def test_v1_paths_are_canonical(client):
     assert "Deprecation" not in resp.headers
 
 
-def test_legacy_path_answers_with_deprecation_header(client):
-    legacy = client.get("/healthz").raise_for_status()
-    assert legacy.headers["Deprecation"] == "true"
-    assert legacy.headers["Link"] == '</v1/healthz>; rel="successor-version"'
-    assert legacy.json["ok"] is True
-
-
-def test_legacy_post_reaches_same_handler(client):
-    body = {"topology": "jellyfish:switches=10,degree=4,servers=2"}
-    legacy = client.post("/throughput", dict(body)).raise_for_status()
-    v1 = client.post("/v1/throughput", dict(body)).raise_for_status()
-    assert legacy.headers["Deprecation"] == "true"
-    assert (
-        legacy.json["results"][0]["per_server_throughput"]
-        == v1.json["results"][0]["per_server_throughput"]
-    )
-
-
 def test_trailing_slash_normalized(client):
     assert client.get("/v1/healthz/").status == 200
-    assert client.get("/healthz/").headers.get("Deprecation") == "true"
-
-
-def test_deprecated_requests_counted_separately(client):
-    client.get("/healthz")
-    client.get("/v1/healthz")
-    requests = client.get("/v1/context").json["requests"]
-    assert requests["deprecated"].get("GET /v1/healthz") == 1
-    assert requests["by_endpoint"]["GET /v1/healthz"] >= 2
+    assert client.get("/v1/healthz?probe=1").status == 200
 
 
 def test_context_registry_filter(client):
@@ -85,21 +56,3 @@ def test_404_lists_v1_paths(client):
     paths = resp.json["error"]["details"]["paths"]
     assert "/v1/sweep" in paths
     assert "/v1/jobs/<id>" in paths
-
-
-def test_deprecation_header_over_the_wire():
-    with ApiServer(ApiService(), port=0) as server:
-        http = HttpClient(server.host, server.port)
-        try:
-            legacy = http.get("/healthz").raise_for_status()
-            assert legacy.headers["Deprecation"] == "true"
-            v1 = http.get("/v1/healthz").raise_for_status()
-            assert "Deprecation" not in v1.headers
-            # DELETE is wired through the HTTP front end too.
-            resp = http.delete("/v1/jobs/nope")
-            assert resp.status == 404
-            # Query strings survive the wire path.
-            filtered = http.get("/v1/context?registry=routings")
-            assert filtered.json["registry"] == "routings"
-        finally:
-            http.close()

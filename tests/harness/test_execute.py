@@ -2,40 +2,47 @@
 
 import pytest
 
+from repro import registry
 from repro.harness import ExperimentSpec, SpecError
-from repro.harness.execute import build_topology, execute_spec
+from repro.harness.execute import execute_spec
 
 
 class TestBuildTopology:
     def test_fattree(self):
-        topo = build_topology({"family": "fattree", "k": 4})
+        topo = registry.topology({"family": "fattree", "k": 4})
         assert topo.num_servers == 16
 
     def test_oversubscribed_fattree(self):
-        full = build_topology({"family": "fattree", "k": 4})
-        halved = build_topology(
+        full = registry.topology({"family": "fattree", "k": 4})
+        halved = registry.topology(
             {"family": "fattree", "k": 4, "core_fraction": 0.5}
         )
         assert halved.num_links < full.num_links
 
     def test_jellyfish(self):
-        topo = build_topology({"family": "jellyfish", "switches": 10,
-                               "degree": 4, "servers": 2, "seed": 3})
+        topo = registry.topology({"family": "jellyfish", "switches": 10,
+                                  "degree": 4, "servers": 2, "seed": 3})
         assert topo.num_switches == 10
         assert topo.num_servers == 20
 
     def test_xpander(self):
-        topo = build_topology({"family": "xpander", "degree": 4, "lift": 5,
-                               "servers": 2})
+        topo = registry.topology({"family": "xpander", "degree": 4,
+                                  "lift": 5, "servers": 2})
         assert topo.num_switches == 25
 
     def test_unknown_family(self):
-        with pytest.raises(SpecError, match="torus"):
-            build_topology({"family": "torus"})
+        with pytest.raises(registry.RegistryError, match="torus"):
+            registry.topology({"family": "torus"})
 
     def test_extra_parameters_rejected(self):
+        # execute_spec reports a bad topology spec as a SpecError.
+        spec = ExperimentSpec(
+            topology={"family": "fattree", "k": 4, "lift": 5},
+            workload={"pattern": "longest_matching", "fraction": 0.5},
+            engine="lp",
+        )
         with pytest.raises(SpecError, match="lift"):
-            build_topology({"family": "fattree", "k": 4, "lift": 5})
+            execute_spec(spec)
 
 
 class TestEngines:
@@ -70,6 +77,45 @@ class TestEngines:
         assert rec.telemetry["num_links"] > 0
         assert 0 <= rec.telemetry["max_utilization"] <= 1.0
         assert rec.wall_clock_s > 0
+
+    def test_parameterized_packet_routing_matches_direct_simulation(self):
+        from repro.sim import NetworkParams, PacketSimulation
+        from repro.traffic import PoissonArrivals, Workload, pfabric_web_search
+
+        spec = ExperimentSpec(
+            topology={"family": "fattree", "k": 4},
+            workload={"pattern": "permute", "fraction": 1.0,
+                      "rate": 2000.0},
+            routing="ksp:k=8",
+            engine="packet",
+            seed=3,
+            measure_start=0.005,
+            measure_end=0.02,
+        )
+        rec = execute_spec(spec)
+        assert rec.ok and rec.metrics["flows"] > 0
+
+        topo = registry.topology(spec.topology)
+        pairs = registry.traffic(
+            {"pattern": "permute", "fraction": 1.0, "seed": 3}, topo
+        )
+        flows = Workload(
+            pairs, pfabric_web_search(), PoissonArrivals(2000.0), seed=3
+        ).generate(horizon=0.035)
+        policy = registry.routing("ksp:k=8", topo, seed=3)
+        assert policy.k == 8
+        sim = PacketSimulation(
+            topo,
+            routing=policy,
+            network_params=NetworkParams(
+                link_rate_bps=spec.link_rate_bps,
+                server_link_rate_bps=spec.server_link_rate_bps,
+            ),
+            seed=3,
+        )
+        sim.inject(flows)
+        stats = sim.run(0.005, 0.02, max_sim_time=spec.max_sim_time)
+        assert rec.metrics == stats.summary()
 
     def test_flow_engine(self):
         spec = ExperimentSpec(

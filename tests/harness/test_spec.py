@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import registry
 from repro.harness import ExperimentSpec, SpecError, expand_sweep, load_sweep_file
 
 
@@ -112,6 +113,23 @@ class TestValidation:
     def test_unknown_routing(self):
         with pytest.raises(SpecError, match="warp"):
             packet_spec(routing="warp").validate()
+
+    def test_parameterized_routing_validates(self):
+        packet_spec(routing="ksp:k=8").validate()
+        packet_spec(routing="hyb:hyb_threshold_bytes=50000").validate()
+
+    def test_malformed_routing_spec_rejected(self):
+        with pytest.raises(SpecError, match="bad routing spec"):
+            packet_spec(routing="ksp:k").validate()
+        with pytest.raises(SpecError, match="warp"):
+            packet_spec(routing="warp:k=8").validate()
+        with pytest.raises(SpecError, match="must be a string"):
+            packet_spec(routing={"name": "ksp"}).validate()
+
+    def test_runtime_registered_routing_validates(self, monkeypatch):
+        ecmp = registry.ROUTINGS.get("ecmp")
+        monkeypatch.setitem(registry.ROUTINGS._factories, "ecmp2", ecmp)
+        packet_spec(routing="ecmp2").validate()
 
     def test_flow_engine_routing_subset(self):
         with pytest.raises(SpecError, match="flow engine"):

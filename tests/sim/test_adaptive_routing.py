@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import registry
 from repro.sim import (
     AdaptiveEcmpRouting,
     CongestionHybRouting,
@@ -9,7 +10,6 @@ from repro.sim import (
     PacketSimulation,
     run_packet_experiment,
 )
-from repro.sim.simulation import make_routing
 from repro.topologies import xpander
 from repro.traffic import FlowSpec
 
@@ -113,5 +113,5 @@ class TestAdaptiveEcmp:
 class TestMakeRoutingNames:
     @pytest.mark.parametrize("name", ["ecmp", "vlb", "hyb", "chyb", "aecmp"])
     def test_all_names_construct(self, xp, name):
-        policy = make_routing(name, xp)
+        policy = registry.routing(name, xp)
         assert policy.name in ("ecmp", "vlb", "hyb", "chyb", "aecmp", "base")

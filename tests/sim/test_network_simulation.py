@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import registry
 from repro.sim import NetworkParams, PacketSimulation, run_packet_experiment
-from repro.sim.simulation import ROUTING_CHOICES, make_routing
 from repro.topologies import fattree, xpander
 from repro.traffic import FlowSpec
 
@@ -35,14 +35,16 @@ class TestNetworkBuild:
 
     def test_make_routing_rejects_unknown(self, ft):
         with pytest.raises(ValueError) as exc_info:
-            make_routing("bogus", ft)
+            registry.routing("bogus", ft)
         message = str(exc_info.value)
         assert "'bogus'" in message
-        for choice in ROUTING_CHOICES:
+        for choice in registry.ROUTINGS.available():
             assert choice in message
 
     def test_routing_choices_complete(self):
-        assert ROUTING_CHOICES == ("aecmp", "chyb", "ecmp", "hyb", "ksp", "vlb")
+        assert registry.ROUTINGS.available() == (
+            "aecmp", "chyb", "ecmp", "hyb", "ksp", "vlb"
+        )
 
 
 class TestSingleFlowDelivery:

@@ -132,7 +132,6 @@ def test_warm_false_forces_every_point_cold():
     backend = _incremental()
     outcomes = backend.solve_many(topo, [tm, tm, tm], warm=False)
     assert [o.warm_started for o in outcomes] == [False, False, False]
-    assert all(not o.basis_reused for o in outcomes)
     exact = max_concurrent_throughput(topo, tm)
     for o in outcomes:
         assert o.result.throughput == exact.throughput

@@ -1,17 +1,13 @@
-"""The public API surface: explicit ``__all__`` everywhere, and shims warn.
+"""The public API surface: explicit ``__all__`` everywhere.
 
 Every module under :mod:`repro` (except the ``__main__`` entry script)
 must declare ``__all__``; every listed name must exist; and no public
-non-module attribute may leak outside ``__all__``.  Legacy entry points
-retired by the registry/observability redesign must keep working but
-emit :class:`DeprecationWarning`.
+non-module attribute may leak outside ``__all__``.
 """
 
 import importlib
 import pkgutil
 import types
-
-import pytest
 
 import repro
 
@@ -78,42 +74,3 @@ class TestTopLevelSurface:
 
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
-
-
-class TestDeprecationShims:
-    def test_sim_telemetry_network_report_warns(self):
-        from repro.sim import telemetry
-        from repro.topologies import fattree
-        from repro.sim import PacketSimulation
-
-        sim = PacketSimulation(fattree(4).topology)
-        with pytest.warns(DeprecationWarning, match="repro.obs"):
-            report = telemetry.network_report(sim.network)
-        assert report.links is not None
-
-    def test_make_routing_warns_but_works(self):
-        from repro.sim import make_routing
-        from repro.topologies import fattree
-
-        topo = fattree(4).topology
-        with pytest.warns(DeprecationWarning, match="registry"):
-            policy = make_routing("ecmp", topo)
-        assert policy is not None
-
-    def test_harness_build_topology_warns(self):
-        from repro.harness.execute import build_topology
-
-        with pytest.warns(DeprecationWarning, match="registry"):
-            topo = build_topology({"family": "fattree", "k": 4})
-        assert topo.num_switches == 20
-
-    def test_cli_build_topology_warns(self):
-        import argparse
-
-        from repro.cli import build_topology
-
-        args = argparse.Namespace(k=4, core_fraction=1.0, servers=0)
-        with pytest.warns(DeprecationWarning, match="registry"):
-            topo, ft = build_topology("fattree", args)
-        assert topo.num_switches == 20
-        assert ft is not None

@@ -72,14 +72,11 @@ class TestTrafficEquivalence:
 
 
 class TestRoutingEquivalence:
-    def test_ecmp_matches_legacy_entry_point(self):
-        from repro.sim import make_routing
-
+    def test_ecmp_matches_registry_factory(self):
         topo = jellyfish(8, 4, 2, seed=1)
         built = registry.routing("ecmp", topo)
-        with pytest.warns(DeprecationWarning):
-            legacy = make_routing("ecmp", topo)
-        assert type(built) is type(legacy)
+        direct = registry.ROUTINGS.build("ecmp", topo.graph, seed=0)
+        assert type(built) is type(direct)
 
     def test_defaults_fill_but_do_not_override(self):
         topo = jellyfish(8, 4, 2, seed=1)

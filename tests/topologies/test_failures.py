@@ -4,12 +4,9 @@ import pytest
 
 from repro.topologies import (
     TopologyError,
-    fail_links,
-    fail_switches,
+    degrade_topology,
     jellyfish,
     largest_connected_component,
-    random_link_failures,
-    random_switch_failures,
     xpander,
 )
 
@@ -22,56 +19,56 @@ def xp():
 class TestFailLinks:
     def test_removes_exactly_given_links(self, xp):
         edges = list(xp.graph.edges())[:3]
-        degraded = fail_links(xp, edges)
+        degraded = degrade_topology(xp, links=edges)
         assert degraded.num_links == xp.num_links - 3
         for u, v in edges:
             assert not degraded.graph.has_edge(u, v)
 
     def test_original_untouched(self, xp):
         before = xp.num_links
-        fail_links(xp, list(xp.graph.edges())[:2])
+        degrade_topology(xp, links=list(xp.graph.edges())[:2])
         assert xp.num_links == before
 
     def test_missing_link_rejected(self, xp):
         with pytest.raises(TopologyError):
-            fail_links(xp, [(0, 0)])
+            degrade_topology(xp, links=[(0, 0)])
 
 
 class TestFailSwitches:
     def test_removes_switch_and_servers(self, xp):
         victim = xp.switches[0]
-        degraded = fail_switches(xp, [victim])
+        degraded = degrade_topology(xp, switches=[victim])
         assert victim not in degraded.graph
         assert degraded.num_servers == xp.num_servers - xp.servers_at(victim)
 
     def test_missing_switch_rejected(self, xp):
         with pytest.raises(TopologyError):
-            fail_switches(xp, [10**9])
+            degrade_topology(xp, switches=[10**9])
 
     def test_all_failed_rejected(self, xp):
         with pytest.raises(TopologyError):
-            fail_switches(xp, xp.switches)
+            degrade_topology(xp, switches=xp.switches)
 
 
 class TestRandomFailures:
     def test_fraction_of_links(self, xp):
-        degraded = random_link_failures(xp, 0.2, seed=1)
+        degraded = xp.degrade("links:fraction=0.2,seed=1")
         assert degraded.num_links == xp.num_links - round(0.2 * xp.num_links)
 
     def test_deterministic(self, xp):
-        a = random_link_failures(xp, 0.3, seed=5)
-        b = random_link_failures(xp, 0.3, seed=5)
+        a = xp.degrade("links:fraction=0.3,seed=5")
+        b = xp.degrade("links:fraction=0.3,seed=5")
         assert sorted(a.graph.edges()) == sorted(b.graph.edges())
 
     def test_fraction_of_switches(self, xp):
-        degraded = random_switch_failures(xp, 0.25, seed=2)
+        degraded = xp.degrade("switches:fraction=0.25,seed=2")
         assert degraded.num_switches == xp.num_switches - round(0.25 * 30)
 
     def test_invalid_fraction(self, xp):
         with pytest.raises(TopologyError):
-            random_link_failures(xp, 1.0)
+            xp.degrade("links:fraction=1.0")
         with pytest.raises(TopologyError):
-            random_switch_failures(xp, -0.1)
+            xp.degrade("switches:fraction=-0.1")
 
 
 class TestLargestComponent:
@@ -82,7 +79,9 @@ class TestLargestComponent:
         jf = jellyfish(12, 3, 2, seed=0)
         victim = jf.switches[0]
         # Cut off one switch completely.
-        degraded = fail_links(jf, [tuple(e) for e in jf.graph.edges(victim)])
+        degraded = degrade_topology(
+            jf, links=[tuple(e) for e in jf.graph.edges(victim)]
+        )
         lcc = largest_connected_component(degraded)
         assert lcc.is_connected()
         assert victim not in lcc.graph
@@ -101,7 +100,7 @@ class TestResilienceShape:
         tm = permutation_tm(xp.tors, 3, 0.3, seed=0)
         base = max_concurrent_throughput(xp, tm).per_server
         degraded = largest_connected_component(
-            random_link_failures(xp, 0.1, seed=3)
+            xp.degrade("links:fraction=0.1,seed=3")
         )
         assert degraded.is_connected()
         after = max_concurrent_throughput(degraded, tm).per_server

@@ -15,7 +15,8 @@ concurrent stdlib HTTP clients in two phases over the same query mix:
 Requests-per-second and latency percentiles for both phases land in
 ``BENCH_api.json`` at the repo root.  Acceptance (full mode): warm
 throughput >= 3x cold.  Set ``REPRO_PERF_QUICK=1`` for the reduced CI
-grid (ratio still reported, only sanity-asserted).
+grid (ratio still reported, only sanity-asserted; recorded in
+``BENCH_api.quick.json``).
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ from repro.ioutils import atomic_write_json
 from repro.version import SPEC_HASH_VERSION, __version__
 
 QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
+#: Quick runs record to ``BENCH_api.quick.json`` (git-ignored), so the
+#: committed full-mode ``BENCH_api.json`` is never overwritten by them.
 BENCH_PATH = os.path.join(
-    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_api.json"
+    os.path.dirname(__file__), os.pardir, os.pardir,
+    "BENCH_api.quick.json" if QUICK else "BENCH_api.json",
 )
 
 TOPOLOGY = (

@@ -24,7 +24,8 @@ accepts from the *committed* ``BENCH_perf.json`` (3.0 for the headline
 kernels; 1.0 for micro-opts like the DES loop whose win is real but
 interpreter-bound).
 
-Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke).
+Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke), recorded in
+``BENCH_perf.quick.json``.
 """
 
 from __future__ import annotations
@@ -50,8 +51,11 @@ from repro.topologies import jellyfish
 from repro.traffic import permutation_tm
 
 QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
+#: Quick runs record to ``BENCH_perf.quick.json`` (git-ignored), so the
+#: committed full-mode ``BENCH_perf.json`` is never overwritten by them.
 BENCH_PATH = os.path.join(
-    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_perf.json"
+    os.path.dirname(__file__), os.pardir, os.pardir,
+    "BENCH_perf.quick.json" if QUICK else "BENCH_perf.json",
 )
 
 _RESULTS: dict = {}

@@ -34,8 +34,9 @@ the exception) that ended the climb.  A regression (or improvement) in
 any engine shows up as a trajectory diff in the committed JSON.
 
 Set ``REPRO_PERF_QUICK=1`` for a reduced ladder (the CI ``scale-smoke``
-job, which also asserts the quick-ladder floors below); the committed
-``BENCH_scale.json`` comes from a full run.
+job, which also asserts the quick-ladder floors below); it records to
+``BENCH_scale.quick.json``, and the committed ``BENCH_scale.json`` comes
+from a full run.
 """
 
 from __future__ import annotations
@@ -55,8 +56,11 @@ from repro.topologies import jellyfish, xpander
 from repro.traffic import longest_matching_tm
 
 QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
+#: Quick runs record to ``BENCH_scale.quick.json`` (git-ignored), so the
+#: committed full-mode ``BENCH_scale.json`` is never overwritten by them.
 BENCH_PATH = os.path.join(
-    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_scale.json"
+    os.path.dirname(__file__), os.pardir, os.pardir,
+    "BENCH_scale.quick.json" if QUICK else "BENCH_scale.json",
 )
 
 #: Per-trial wall-clock budget (s): the first rung past this completes,

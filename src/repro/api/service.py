@@ -40,10 +40,10 @@ included, answers 404 ``not_found`` with every ``/v1`` path listed in
 ``details.paths``.
 
 Warm-state semantics: repeated queries naming the same topology spec
-reuse the built topology, its ``highs-colgen``
-:class:`~repro.solvers.colgen.ColgenTopologyContext` (ArcTable + path
-pool), and the process-wide shared path cache; byte-identical queries
-are served from a content-addressed result memo.
+reuse the built topology, the warm ``highs-colgen`` backend (which owns
+the topology's ArcTable and path pool), and the process-wide shared path
+cache; byte-identical queries are served from a content-addressed result
+memo.
 Any ``POST`` body may set ``"warm": false`` to bypass every warm layer
 and rebuild per request — that is the load bench's cold baseline, and a
 live way to check warm results against a from-scratch evaluation.
@@ -73,11 +73,6 @@ from ..harness.execute import execute_spec
 from ..harness.spec import ENGINES, ExperimentSpec, expand_sweep
 from ..perf import PathCache, shared_path_cache
 from ..solvers.base import SolveOutcome
-from ..solvers.colgen import (
-    ColgenTopologyContext,
-    HighsColgenBackend,
-    colgen_solve_outcome,
-)
 from ..version import SPEC_HASH_VERSION, __version__
 from .errors import ApiError, classify_exception
 from .jobs import JobManager, jobs_schema
@@ -165,6 +160,7 @@ class ApiService:
         self._counter_lock = threading.Lock()
         self.request_counts: Dict[str, int] = {}
         self.error_counts: Dict[str, int] = {}
+        self._route_paths = {p for _, p in self.routes()}
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -207,7 +203,7 @@ class ApiService:
             key: values[-1]
             for key, values in urllib.parse.parse_qs(raw_query).items()
         }
-        endpoint = f"{method} {self._endpoint_path(clean)}"
+        endpoint = self._endpoint(method, clean)
         try:
             handler = self._resolve(method, clean)
             parsed = self._parse_body(body) if method == "POST" else {}
@@ -223,12 +219,18 @@ class ApiService:
         self._note_request(endpoint, rid, status, started)
         return status, payload
 
-    @staticmethod
-    def _endpoint_path(path: str) -> str:
-        """Collapse path parameters so counters stay low-cardinality."""
+    def _endpoint(self, method: str, path: str) -> str:
+        """The counter key of a request: ``"METHOD route"``.
+
+        Path parameters collapse into their route and every unknown path
+        into ``"<unknown>"``, so counters stay low-cardinality however
+        many distinct paths clients send.
+        """
         if path.startswith("/v1/jobs/"):
-            return "/v1/jobs/<id>"
-        return path
+            return f"{method} /v1/jobs/<id>"
+        if path in self._route_paths:
+            return f"{method} {path}"
+        return "<unknown>"
 
     def _resolve(self, method: str, path: str):
         routes = self.routes()
@@ -463,11 +465,17 @@ class ApiService:
     def _evaluate_throughput(
         self, body: Dict[str, Any], topology_spec: Any
     ) -> Dict[str, Any]:
-        """The throughput core: build/fetch warm state, solve, memoize."""
+        """The throughput core: build/fetch warm state, solve, memoize.
+
+        Memo-missed fractions are solved in one ``solve_many`` call.  A
+        backend that keeps warm state (``supports_batching``) is itself
+        cached per topology, so its path pool carries across requests.
+        """
         fractions = self._fractions(body)
         solver_spec = body.get("solver", API_DEFAULT_SOLVER)
         solver_name, solver_params = registry.parse_spec(solver_spec, key="name")
-        backend = registry.SOLVERS.build(solver_name, **solver_params)
+        backend = registry.solver(solver_spec)
+        batching = backend.supports_batching
         seed = int(body.get("seed", 0))
         demand = float(body.get("per_server_demand", 1.0))
         failures = body.get("failures")
@@ -484,21 +492,12 @@ class ApiService:
             topo_key = ""
             properties = self._properties(PathCache(topo.graph), topo)
 
-        # Column generation keeps its path pool across requests; any
-        # other backend (the paths bound) solves each fraction afresh.
-        colgen: Optional[ColgenTopologyContext] = None
         context_hit = False
-        if isinstance(backend, HighsColgenBackend):
-            if warm:
-                colgen, context_hit = self.state.colgen(
-                    topology_spec, topo, failures, backend
-                )
-            else:
-                colgen = backend.build_context(topo)
+        if warm and batching:
+            backend, context_hit = self.state.backend(topo_key, backend)
 
-        results: List[Dict[str, Any]] = []
-        for fraction in fractions:
-            memo_key = canonical_key(
+        def memo_key(fraction: float) -> str:
+            return canonical_key(
                 {
                     "kind": "throughput",
                     "topology": topo_key,
@@ -508,27 +507,41 @@ class ApiService:
                     "demand": demand,
                 }
             )
-            if warm:
-                memo = self.state.result_get(memo_key)
-                if memo is not None:
-                    results.append({**memo, "cached": True})
+
+        results: List[Optional[Dict[str, Any]]] = [None] * len(fractions)
+        todo = list(enumerate(fractions))
+        while todo:
+            # A fraction repeated within one warm request waits for the
+            # next round, where the first copy's memo entry serves it.
+            batch, later, keys = [], [], set()
+            for i, fraction in todo:
+                key = memo_key(fraction)
+                if warm and key in keys:
+                    later.append((i, fraction))
                     continue
-            tm = registry.TRAFFIC.build(
-                "longest_matching", topo, fraction=fraction, seed=seed
-            )
-            if colgen is not None:
-                outcome = colgen_solve_outcome(
-                    colgen, tm, demand,
-                    backend_name=solver_name, reuse_pool=warm,
+                memo = self.state.result_get(key) if warm else None
+                if memo is not None:
+                    results[i] = {**memo, "cached": True}
+                    continue
+                keys.add(key)
+                batch.append((i, fraction, key))
+            if not batch:
+                break
+            tms = [
+                registry.TRAFFIC.build(
+                    "longest_matching", topo, fraction=fraction, seed=seed
                 )
-            else:
-                outcome = backend.solve(topo, tm, demand)
-            entry = self._outcome_entry(fraction, outcome)
-            if colgen is not None:
-                entry["warm_started"] = outcome.warm_started
-            if warm and outcome.ok:
-                self.state.result_put(memo_key, entry)
-            results.append({**entry, "cached": False})
+                for _, fraction, _ in batch
+            ]
+            outcomes = backend.solve_many(topo, tms, demand, warm=warm)
+            for (i, fraction, key), outcome in zip(batch, outcomes):
+                entry = self._outcome_entry(fraction, outcome)
+                if batching:
+                    entry["warm_started"] = outcome.warm_started
+                if warm and outcome.ok:
+                    self.state.result_put(key, entry)
+                results[i] = {**entry, "cached": False}
+            todo = later
 
         return {
             "topology": {"name": topo.name, **properties},
@@ -539,9 +552,7 @@ class ApiService:
                 "enabled": warm,
                 "topology": "hit" if topo_hit else "miss",
                 "context": (
-                    ("hit" if context_hit else "miss")
-                    if colgen is not None
-                    else None
+                    ("hit" if context_hit else "miss") if batching else None
                 ),
                 "results_cached": sum(1 for r in results if r["cached"]),
             },

@@ -619,7 +619,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=registry.DEFAULT_SOLVER,
         help="throughput solver backend (see docs/solvers.md)",
     )
-    p.add_argument("--k-paths", type=int, default=8)
+    p.add_argument("--k-paths", type=int, default=None)
     p.set_defaults(func=_cmd_throughput)
 
     p = sub.add_parser("simulate", help="packet-level experiment")

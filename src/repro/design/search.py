@@ -37,12 +37,11 @@ candidate provably cannot meet the target (the property test in
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import obs, registry
 from ..cost import PORT_COSTS, predicted_port_cost, topology_port_cost
+from ..perf.lru import Lru
 from ..throughput.bounds import tm_throughput_upper_bound
 from ..topologies.dynamic import moore_bound_mean_distance
 from ..topologies.properties import spectral_gap
@@ -78,34 +77,10 @@ def _canonical(payload: Any) -> str:
     return canonical_key(payload)
 
 
-class _Memo:
-    """A small LRU of measurement dicts keyed by content.
-
-    Locked: one warm :class:`DesignEngine` is shared by the service's
-    HTTP handler threads and design-job worker threads, and an
-    ``OrderedDict``'s recency updates are not safe to interleave.
-    """
-
-    def __init__(self, capacity: int = 512):
-        self.capacity = capacity
-        self._data: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-        if value is not None:
-            obs.add("design.memo.hits")
-        return value
-
-    def put(self, key: str, value: Dict[str, Any]) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+def _memo(capacity: int) -> Lru:
+    """A measurement memo: locked, since one warm :class:`DesignEngine` is
+    shared by the service's HTTP handler threads and design-job workers."""
+    return Lru(capacity, hits="design.memo.hits")
 
 
 class DesignEngine:
@@ -120,9 +95,9 @@ class DesignEngine:
     """
 
     def __init__(self, memo_capacity: int = 512):
-        self._struct = _Memo(memo_capacity)
-        self._lp = _Memo(memo_capacity)
-        self._resilience = _Memo(memo_capacity)
+        self._struct = _memo(memo_capacity)
+        self._lp = _memo(memo_capacity)
+        self._resilience = _memo(memo_capacity)
 
     # -- measurement layers (memoized, threshold-free) -----------------
     def _struct_key(self, cand: CandidateDesign, target: DesignTarget) -> str:
@@ -177,26 +152,50 @@ class DesignEngine:
         self, cand: CandidateDesign, target: DesignTarget
     ) -> Dict[str, Any]:
         """Solve the candidate's longest-matching LP (the expensive step)."""
-        key = _canonical(
-            {
-                "spec": cand.spec,
-                "fraction": target.fraction,
-                "seed": target.seed,
-                "per_server_demand": target.per_server_demand,
-                "solver": target.solver,
-            }
+        return self._measure_solve(self._lp, "design.evaluate", cand, target)
+
+    def _measure_resilience(
+        self, cand: CandidateDesign, target: DesignTarget
+    ) -> Dict[str, Any]:
+        """Per-server throughput of the degraded candidate (same TM)."""
+        assert target.resilience is not None
+        return self._measure_solve(
+            self._resilience, "design.resilience", cand, target,
+            failures=target.resilience.failures,
         )
-        hit = self._lp.get(key)
+
+    def _measure_solve(
+        self,
+        memo: Lru,
+        span: str,
+        cand: CandidateDesign,
+        target: DesignTarget,
+        failures: Any = None,
+    ) -> Dict[str, Any]:
+        """One memoized solve of the candidate's longest-matching TM,
+        on the topology degraded by ``failures`` when given."""
+        payload = {
+            "spec": cand.spec,
+            "fraction": target.fraction,
+            "seed": target.seed,
+            "per_server_demand": target.per_server_demand,
+            "solver": target.solver,
+        }
+        if failures is not None:
+            payload["failures"] = failures
+        key = _canonical(payload)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        with obs.span("design.evaluate", family=cand.family):
+        with obs.span(span, family=cand.family):
             topology = registry.topology(cand.spec)
             tm = longest_matching_tm(
                 topology, target.fraction, seed=target.seed
             )
-            backend = registry.solver(target.solver)
-            outcome = backend.solve(
-                topology, tm, per_server_demand=target.per_server_demand
+            if failures is not None:
+                topology = topology.degrade(failures)
+            (outcome,) = registry.solver(target.solver).solve_many(
+                topology, [tm], target.per_server_demand
             )
         obs.add("design.lp_solves")
         measured = {
@@ -206,45 +205,7 @@ class DesignEngine:
             ),
             "iterations": outcome.iterations,
         }
-        self._lp.put(key, measured)
-        return measured
-
-    def _measure_resilience(
-        self, cand: CandidateDesign, target: DesignTarget
-    ) -> Dict[str, Any]:
-        """Per-server throughput of the degraded candidate (same TM)."""
-        assert target.resilience is not None
-        key = _canonical(
-            {
-                "spec": cand.spec,
-                "fraction": target.fraction,
-                "seed": target.seed,
-                "per_server_demand": target.per_server_demand,
-                "solver": target.solver,
-                "failures": target.resilience.failures,
-            }
-        )
-        hit = self._resilience.get(key)
-        if hit is not None:
-            return hit
-        with obs.span("design.resilience", family=cand.family):
-            topology = registry.topology(cand.spec)
-            tm = longest_matching_tm(
-                topology, target.fraction, seed=target.seed
-            )
-            degraded = topology.degrade(target.resilience.failures)
-            backend = registry.solver(target.solver)
-            outcome = backend.solve(
-                degraded, tm, per_server_demand=target.per_server_demand
-            )
-        obs.add("design.lp_solves")
-        measured = {
-            "status": outcome.status.value,
-            "per_server": (
-                round(outcome.result.per_server, 9) if outcome.ok else 0.0
-            ),
-        }
-        self._resilience.put(key, measured)
+        memo.put(key, measured)
         return measured
 
     # -- pruning stages ------------------------------------------------

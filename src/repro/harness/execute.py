@@ -99,28 +99,18 @@ def _resolve_rate(spec: ExperimentSpec, topology: Topology, pairs, sizes) -> flo
 def _lp_solver_backend(spec: ExperimentSpec):
     """The :data:`repro.registry.SOLVERS` backend an lp spec selects.
 
-    Knobs follow the backend the name resolves to, so aliases get the
-    same ones: the paths bound takes ``k_paths``; column generation
-    (``highs-colgen`` and its aliases) takes ``k_paths`` (seed paths per
-    demand), ``max_rounds`` and ``solver_mode``.
+    The workload's knobs go to whichever backend the name resolves to
+    (:func:`repro.registry.solver` skips the ones it does not take):
+    ``k_paths`` → ``k``, ``max_rounds``, ``solver_mode`` → ``mode``.
     """
-    from ..solvers.backends import HighsColgenBackend, HighsPathsBackend
-
     wl = spec.workload
-    name = spec.lp_solver
-    params: Dict[str, Any] = {}
     try:
-        factory = registry.SOLVERS.get(name)
-        if factory is HighsPathsBackend:
-            params["k"] = wl.get("k_paths", 8)
-        elif factory is HighsColgenBackend:
-            for key, param in (
-                ("k_paths", "k"), ("max_rounds", "max_rounds"),
-                ("solver_mode", "mode"),
-            ):
-                if key in wl:
-                    params[param] = wl[key]
-        return registry.SOLVERS.build(name, **params)
+        return registry.solver(
+            spec.lp_solver,
+            k=wl.get("k_paths"),
+            max_rounds=wl.get("max_rounds"),
+            mode=wl.get("solver_mode"),
+        )
     except registry.RegistryError as exc:
         raise SpecError(str(exc)) from exc
 
@@ -146,8 +136,7 @@ def _lp_metrics(result, fraction) -> Dict[str, float]:
 
 def _run_lp(spec: ExperimentSpec, topology: Topology) -> Dict[str, float]:
     tm, fraction = _lp_tm(spec, topology)
-    backend = _lp_solver_backend(spec)
-    outcome = backend.solve(topology, tm)
+    (outcome,) = _lp_solver_backend(spec).solve_many(topology, [tm])
     # Non-optimal outcomes re-raise the typed SolverFailure: the Runner
     # turns it into a (non-retryable) failure record, so infeasible
     # points degrade a sweep instead of aborting it.

@@ -9,18 +9,20 @@ in memory and are flushed once at :func:`disable` time: the JSONL trace
 and the ``manifest.json`` summary are both written atomically through
 :mod:`repro.ioutils`, so a killed run never leaves a truncated file.
 
-The state is process-local and not thread-safe by design: the library's
-parallelism is process-based (:class:`repro.harness.runner.Runner`), and
-worker processes simply run unobserved unless they enable their own run.
+The run is process-wide; the span stack is per thread (a
+:class:`contextvars.ContextVar`), so spans opened on API handler and job
+threads nest under their own thread's enclosing span.  Worker processes
+run unobserved unless they enable their own run.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 import platform
 import time
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..ioutils import atomic_write_json, atomic_write_text
 from .metrics import MetricsRegistry
@@ -57,45 +59,58 @@ class _NullSpan:
     def __exit__(self, *exc: Any) -> bool:
         return False
 
+    def annotate(self, **attrs: Any) -> None:
+        pass
+
 
 _NULL_SPAN = _NullSpan()
+
+#: Names of the spans open in this thread (or task), innermost last.
+_STACK: "contextvars.ContextVar[Tuple[str, ...]]" = contextvars.ContextVar(
+    "repro_obs_span_stack", default=()
+)
 
 
 class Span:
     """A timed section of work; records itself on exit.
 
-    Nesting is tracked through the run's span stack, so a trace line
-    carries the enclosing span's name (``parent``) and per-stage
-    breakdowns can attribute child time.
+    Nesting is tracked through the calling thread's span stack, so a
+    trace line carries the enclosing span's name (``parent``) and
+    per-stage breakdowns can attribute child time.
     """
 
-    __slots__ = ("name", "attrs", "_run", "_start")
+    __slots__ = ("name", "attrs", "_run", "_start", "_parent", "_token")
 
     def __init__(self, run: "ObsRun", name: str, attrs: Dict[str, Any]) -> None:
         self.name = name
         self.attrs = attrs
         self._run = run
         self._start = 0.0
+        self._parent: Optional[str] = None
+        self._token: Optional[contextvars.Token] = None
 
     def __enter__(self) -> "Span":
-        self._run._stack.append(self.name)
+        stack = _STACK.get()
+        self._parent = stack[-1] if stack else None
+        self._token = _STACK.set(stack + (self.name,))
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: Any) -> bool:
         end = time.perf_counter()
-        run = self._run
-        stack = run._stack
-        if stack and stack[-1] == self.name:
-            stack.pop()
-        run.record_span(
+        _STACK.reset(self._token)
+        self._run.record_span(
             self.name,
             self._start,
             end - self._start,
             attrs=self.attrs,
-            parent=stack[-1] if stack else None,
+            parent=self._parent,
         )
         return False
+
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes known only once the work has run."""
+        self.attrs.update(attrs)
 
 
 class ObsRun:
@@ -127,7 +142,6 @@ class ObsRun:
         self.metrics = MetricsRegistry()
         self.spans: List[Dict[str, Any]] = []
         self.events: List[Dict[str, Any]] = []
-        self._stack: List[str] = []
         self._t0 = time.perf_counter()
         self.started_at = time.time()
         self.finalized = False

@@ -50,6 +50,7 @@ import-cycle-free and cheap to import.
 
 from __future__ import annotations
 
+import inspect
 import json
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -404,17 +405,27 @@ def routing(spec: Any, topology: Any, **defaults: Any) -> Any:
     return ROUTINGS.build(name, graph, **params)
 
 
-def solver(spec: Any, **defaults: Any) -> Any:
+def solver(spec: Any, **knobs: Any) -> Any:
     """Build a throughput solver backend from a spec.
 
-    Accepts registry names (``"highs-colgen"``), compact strings with
-    parameters (``"highs-colgen:k=4"``, ``"highs-paths:k=4"``),
-    and mappings with a ``name`` key.  ``defaults`` fill parameters the
-    spec itself does not set.
+    The one name → backend resolver of every front end (lp sweep points,
+    ``skew_sweep`` and ``repro throughput``, the ``/v1`` service, the
+    design engine).  Accepts registry names (``"highs-colgen"``),
+    compact strings with parameters (``"highs-colgen:k=4"``,
+    ``"highs-paths:k=4"``), and mappings with a ``name`` key.
+
+    ``knobs`` fill parameters the spec itself does not set.  A knob that
+    is ``None`` or that the named backend does not take is skipped, so a
+    caller passes its generic knobs (``k``, ``max_rounds``, ``mode``)
+    whichever backend the name selects.
     """
     name, params = parse_spec(spec, key="name")
-    for pkey, value in defaults.items():
-        params.setdefault(pkey, value)
+    knobs = {k: v for k, v in knobs.items() if v is not None}
+    if knobs:
+        accepted = inspect.signature(SOLVERS.get(name)).parameters
+        for pkey, value in knobs.items():
+            if pkey in accepted:
+                params.setdefault(pkey, value)
     return SOLVERS.build(name, **params)
 
 

@@ -34,7 +34,6 @@ from ..registry import DEFAULT_SOLVER
 from .base import SolveOutcome, SolveStatus, SolverBackend, solve_outcome
 from .colgen import (
     ColgenTopologyContext,
-    colgen_solve_outcome,
     reset_warm_start_stats,
     topology_fingerprint,
     warm_start_stats,
@@ -49,7 +48,6 @@ __all__ = [
     "HighsColgenBackend",
     "HighsPathsBackend",
     "ColgenTopologyContext",
-    "colgen_solve_outcome",
     "topology_fingerprint",
     "warm_start_stats",
     "reset_warm_start_stats",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .. import obs
 from ..throughput.errors import InfeasibleError, SolverFailure, UnboundedError
@@ -103,14 +103,22 @@ class SolveOutcome:
 
 
 def solve_outcome(
-    backend: str, call: Callable[[], ThroughputResult]
+    backend: str,
+    call: Callable[[], ThroughputResult],
+    attrs: Optional[Dict[str, Any]] = None,
 ) -> SolveOutcome:
     """Run one solve callable under observability and classify the result.
 
-    ``call`` either returns a :class:`ThroughputResult` (→ optimal) or
-    raises a :class:`SolverFailure` subclass (→ the matching non-optimal
-    status).  Non-solver exceptions propagate untouched — a bug in the
-    formulation should not masquerade as a solver outcome.
+    The one builder of :class:`SolveOutcome`.  ``call`` either returns a
+    :class:`ThroughputResult` (→ optimal) or raises a
+    :class:`SolverFailure` subclass (→ the matching non-optimal status).
+    Non-solver exceptions propagate untouched — a bug in the formulation
+    should not masquerade as a solver outcome.
+
+    ``attrs`` is an optional dict ``call`` fills while it runs
+    (``highs-colgen`` reports ``warm_started`` and ``pricing_rounds``):
+    its entries are added to the ``solver.solve`` span, and its
+    ``warm_started`` flag is carried on the outcome.
     """
     t0 = time.perf_counter()
     status = SolveStatus.OPTIMAL
@@ -118,7 +126,8 @@ def solve_outcome(
     message = ""
     error: Optional[SolverFailure] = None
     iterations = 0
-    with obs.span("solver.solve", backend=backend):
+    attrs = {} if attrs is None else attrs
+    with obs.span("solver.solve", backend=backend) as span:
         try:
             result = call()
             iterations = result.iterations
@@ -127,6 +136,7 @@ def solve_outcome(
             message = str(exc)
             error = exc
             iterations = exc.iterations
+        span.annotate(**attrs)
     obs.add(f"solver.status.{status.value}")
     return SolveOutcome(
         status=status,
@@ -136,6 +146,7 @@ def solve_outcome(
         wall_time_s=time.perf_counter() - t0,
         message=message,
         error=error,
+        warm_started=bool(attrs.get("warm_started", False)),
     )
 
 
@@ -152,8 +163,18 @@ class SolverBackend:
 
     name: str = "abstract"
     #: True when solve_many amortizes shared structure across a batch
-    #: (the Runner batches fixed-topology lp points through it).
+    #: (the Runner batches fixed-topology lp points through it) and the
+    #: backend keeps warm state worth reusing across calls (the API
+    #: service caches such backends per topology).
     supports_batching: bool = False
+
+    def knobs(self) -> Dict[str, Any]:
+        """The resolved constructor parameters (warm-state cache keys)."""
+        return {}
+
+    def context_stats(self) -> Optional[Dict[str, Any]]:
+        """Stats of the warm per-topology state (``None``: none held)."""
+        return None
 
     def _solve_result(self, topology, tm, per_server_demand: float) -> ThroughputResult:
         raise NotImplementedError

@@ -28,23 +28,21 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..throughput.colgen import ColgenStats, colgen_solve, have_highs_core
 from ..throughput.arcs import ArcTable
-from ..throughput.errors import SolverFailure
 from ..throughput.lp import (
     ThroughputResult,
     _component_labels,
     _drop_by_labels,
 )
+from .base import SolverBackend, solve_outcome
 
 __all__ = [
     "ColgenTopologyContext",
     "HighsColgenBackend",
-    "colgen_solve_outcome",
     "topology_fingerprint",
     "warm_start_stats",
     "reset_warm_start_stats",
@@ -141,12 +139,15 @@ class ColgenTopologyContext:
         self.warm_solves = 0
         self.pricing_rounds = 0
         self.columns_added = 0
-        self.last_solve: Dict[str, bool] = {"warm_started": False}
         self.last_stats: Optional[ColgenStats] = None
 
     # ------------------------------------------------------------------
     def solve(
-        self, tm, per_server_demand: float = 1.0, reuse_pool: bool = True
+        self,
+        tm,
+        per_server_demand: float = 1.0,
+        reuse_pool: bool = True,
+        attrs: Optional[Dict[str, Any]] = None,
     ) -> ThroughputResult:
         """Solve one TM, seeding the master from the persistent pool.
 
@@ -154,15 +155,16 @@ class ColgenTopologyContext:
         those of
         :func:`~repro.throughput.lp.max_concurrent_throughput`.  With
         ``reuse_pool=False`` the solve neither reads nor extends the
-        pool (the cold-bypass contract of ``warm=False``).
+        pool (the cold-bypass contract of ``warm=False``).  ``attrs``,
+        if given, receives ``warm_started`` (the pool covered every
+        demand pair) and ``pricing_rounds`` of a successful solve.
         """
         with self._lock:
-            return self._solve_locked(tm, per_server_demand, reuse_pool)
+            return self._solve_locked(tm, per_server_demand, reuse_pool, attrs)
 
     def _solve_locked(
-        self, tm, per_server_demand: float, reuse_pool: bool
+        self, tm, per_server_demand: float, reuse_pool: bool, attrs
     ) -> ThroughputResult:
-        self.last_solve = {"warm_started": False}
         if tm.num_flows == 0:
             return ThroughputResult(throughput=float("inf"), per_server=1.0)
         tm, dropped = _drop_by_labels(tm, self.labels)
@@ -191,9 +193,10 @@ class ColgenTopologyContext:
         self.pricing_rounds += stats.rounds
         self.columns_added += stats.columns_added
         self.last_stats = stats
+        if attrs is not None:
+            attrs.update(warm_started=stats.pool_warm, pricing_rounds=stats.rounds)
         if stats.pool_warm:
             self.warm_solves += 1
-            self.last_solve["warm_started"] = True
             _note("hit")
         else:
             _note("miss")
@@ -218,70 +221,9 @@ class ColgenTopologyContext:
 
 
 # ----------------------------------------------------------------------
-# Outcome wrapper: SolveOutcome with warm-start flags + observed span
-# ----------------------------------------------------------------------
-def colgen_solve_outcome(
-    context: ColgenTopologyContext,
-    tm,
-    per_server_demand: float = 1.0,
-    backend_name: str = "highs-colgen",
-    reuse_pool: bool = True,
-):
-    """One colgen solve, classified like :func:`~.base.solve_outcome`
-    but carrying the per-solve ``warm_started`` flag (pool covered every
-    demand pair) on the outcome *and* the recorded ``solver.solve``
-    span."""
-    from .base import SolveOutcome, SolveStatus, _status_of
-
-    t0 = time.perf_counter()
-    status = SolveStatus.OPTIMAL
-    result: Optional[ThroughputResult] = None
-    message = ""
-    error: Optional[SolverFailure] = None
-    iterations = 0
-    try:
-        result = context.solve(tm, per_server_demand, reuse_pool=reuse_pool)
-        iterations = result.iterations
-    except SolverFailure as exc:
-        status = _status_of(exc)
-        message = str(exc)
-        error = exc
-        iterations = exc.iterations
-    elapsed = time.perf_counter() - t0
-    info = context.last_solve
-    run = obs.current()
-    if run is not None:
-        run.record_span(
-            "solver.solve",
-            t0,
-            elapsed,
-            attrs={
-                "backend": backend_name,
-                "warm_started": info["warm_started"],
-                "pricing_rounds": (
-                    context.last_stats.rounds
-                    if context.last_stats is not None
-                    else 0
-                ),
-            },
-        )
-    obs.add(f"solver.status.{status.value}")
-    return SolveOutcome(
-        status=status,
-        backend=backend_name,
-        result=result,
-        iterations=iterations,
-        wall_time_s=elapsed,
-        message=message,
-        error=error,
-        warm_started=info["warm_started"],
-    )
-
-
-# ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
-class HighsColgenBackend:
+class HighsColgenBackend(SolverBackend):
     """Exact path LP by column generation, with a persistent path pool.
 
     Holds one :class:`ColgenTopologyContext` for the most recent
@@ -335,7 +277,16 @@ class HighsColgenBackend:
             return None
         return self.mode == "core"
 
-    def build_context(self, topology) -> ColgenTopologyContext:
+    def knobs(self) -> Dict[str, Any]:
+        return {
+            "k": self.k,
+            "phases": self.phases,
+            "passes": self.passes,
+            "max_rounds": self.max_rounds,
+            "mode": self.mode,
+        }
+
+    def _build_context(self, topology) -> ColgenTopologyContext:
         """A fresh context (empty pool) carrying this backend's knobs."""
         return ColgenTopologyContext(
             topology,
@@ -355,18 +306,17 @@ class HighsColgenBackend:
         a matching capacity-aware fingerprint; anything else builds (and
         with ``warm``, installs) a fresh context with an empty pool.
         """
-        fingerprint = topology_fingerprint(topology)
         with self._lock:
             context = self._context
             if (
                 warm
                 and context is not None
-                and context.fingerprint == fingerprint
+                and context.fingerprint == topology_fingerprint(topology)
             ):
                 _note("context_hit")
                 return context, True
             _note("context_miss")
-            context = self.build_context(topology)
+            context = self._build_context(topology)
             if warm:
                 self._context = context
             return context, False
@@ -401,12 +351,14 @@ class HighsColgenBackend:
             context_reused=reused,
         ):
             return [
-                colgen_solve_outcome(
-                    context,
-                    tm,
-                    per_server_demand,
-                    backend_name=self.name,
-                    reuse_pool=warm,
-                )
+                self._solve_one(context, tm, per_server_demand, warm)
                 for tm in tms
             ]
+
+    def _solve_one(self, context, tm, per_server_demand, warm):
+        attrs: Dict[str, Any] = {"warm_started": False, "pricing_rounds": 0}
+        return solve_outcome(
+            self.name,
+            lambda: context.solve(tm, per_server_demand, warm, attrs),
+            attrs,
+        )

@@ -69,11 +69,7 @@ from ..topologies.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .arcs import ArcTable
 from .errors import SolverNumericalError, raise_for_linprog
-from .lp import (
-    ThroughputResult,
-    _component_labels,
-    _drop_by_labels,
-)
+from .lp import ThroughputResult
 
 __all__ = [
     "ColgenStats",
@@ -737,7 +733,6 @@ def path_colgen_throughput(
     phases: Optional[int] = None,
     passes: int = 4,
     max_rounds: int = 200,
-    path_cache=None,
     use_core: Optional[bool] = None,
 ) -> ThroughputResult:
     """Exact max-concurrent-flow throughput via column generation.
@@ -746,7 +741,10 @@ def path_colgen_throughput(
     :func:`~repro.throughput.lp.max_concurrent_throughput` (within
     solver tolerance — property-tested to 1e-9) with restricted masters
     that are orders of magnitude smaller than the edge formulation, so
-    it scales to networks the exact edge LP cannot touch.
+    it scales to networks the exact edge LP cannot touch.  One cold
+    solve on a fresh
+    :class:`~repro.solvers.colgen.ColgenTopologyContext` (the state the
+    ``highs-colgen`` backend keeps warm across solves).
 
     Parameters
     ----------
@@ -767,29 +765,8 @@ def path_colgen_throughput(
     ``(inf, 1.0)``; all demands disconnected returns ``(0.0, 0.0)``
     with ``disconnected_pairs`` set.
     """
-    if tm.num_flows == 0:
-        return ThroughputResult(throughput=float("inf"), per_server=1.0)
-    tm, dropped = _drop_by_labels(tm, _component_labels(topology.graph))
-    if tm.num_flows == 0:
-        return ThroughputResult(
-            throughput=0.0, per_server=0.0, disconnected_pairs=dropped
-        )
-    if path_cache is None:
-        from ..perf import shared_path_cache
+    from ..solvers.colgen import ColgenTopologyContext  # lazy: it imports us
 
-        path_cache = shared_path_cache(topology.graph)
-    table = ArcTable.from_topology(topology)
-    result, _stats = colgen_solve(
-        table,
-        path_cache,
-        tm,
-        per_server_demand=per_server_demand,
-        dropped=dropped,
-        k=k,
-        phases=phases,
-        passes=passes,
-        max_rounds=max_rounds,
-        use_core=use_core,
-        context={"topology": topology.name, "demands": tm.num_flows},
-    )
-    return result
+    return ColgenTopologyContext(
+        topology, k, phases, passes, max_rounds, use_core
+    ).solve(tm, per_server_demand, reuse_pool=False)

@@ -99,7 +99,7 @@ def skew_sweep(
         Callable[[Topology, float, int], TrafficMatrix]
     ] = None,
     solver: Any = DEFAULT_SOLVER,
-    k_paths: int = 8,
+    k_paths: Optional[int] = None,
     seed: int = 0,
     trials: int = 1,
     warm: bool = True,
@@ -129,7 +129,10 @@ def skew_sweep(
         instance.  Unknown names raise ``ValueError`` listing the valid
         choices.
     k_paths:
-        ``k`` for the paths backends (ignored by the others).
+        ``k`` of the named backend (paths per demand for
+        ``highs-paths``, seed paths per demand for ``highs-colgen``);
+        ``None`` keeps the backend's own default.  A ``k`` in the spec
+        string wins.
     tm_builder:
         ``f(topology, fraction, seed) -> TrafficMatrix``; defaults to
         :func:`repro.traffic.patterns.longest_matching_tm`.
@@ -142,12 +145,7 @@ def skew_sweep(
     else:
         from .. import registry  # lazy: avoids a module-import cycle
 
-        name = str(solver)
-        defaults: Dict[str, Any] = {}
-        base = name.split(":", 1)[0]
-        if base in ("paths", "highs-paths"):
-            defaults["k"] = k_paths
-        backend = registry.solver(name, **defaults)
+        backend = registry.solver(str(solver), k=k_paths)
     if tm_builder is None:
         tm_builder = lambda topo, frac, s: longest_matching_tm(topo, frac, seed=s)
 

@@ -15,7 +15,7 @@ from repro import registry
 from repro.api import ApiError, ApiService, InProcessClient, classify_exception
 from repro.harness.spec import SpecError
 from repro.registry import RegistryError
-from repro.solvers.base import SolveOutcome, SolveStatus
+from repro.solvers.base import SolveOutcome, SolverBackend, SolveStatus
 from repro.throughput.errors import InfeasibleError
 
 JELLYFISH = "jellyfish:switches=10,degree=4,servers=2"
@@ -132,7 +132,7 @@ def test_method_not_allowed(client):
     assert resp.json["error"]["details"]["allowed"] == ["POST"]
 
 
-class _AlwaysInfeasible:
+class _AlwaysInfeasible(SolverBackend):
     """A fake backend: the max-concurrent LP is never naturally
     infeasible (t=0 is always a solution), so the 422 path needs one."""
 

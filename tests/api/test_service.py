@@ -217,3 +217,22 @@ def test_request_id_generated_when_missing():
     first = raw.get("/v1/healthz").request_id
     second = raw.get("/v1/healthz").request_id
     assert first and second and first != second
+
+
+def test_unknown_paths_share_one_counter_key():
+    """404 paths collapse into one key, so a scan of distinct unknown
+    paths cannot grow the request counters without bound."""
+    service = ApiService()
+    raw = InProcessClient(service)
+    for i in range(500):
+        assert raw.get(f"/v1/no-such-endpoint-{i}").status == 404
+    assert service.request_counts == {"<unknown>": 500}
+    assert service.error_counts == {"<unknown>": 500}
+    context = raw.get("/v1/context").raise_for_status().json
+    requests = context["requests"]
+    assert requests["by_endpoint"] == {"<unknown>": 500}
+    assert requests["errors"] == {"<unknown>": 500}
+    # Known routes and job ids keep their own low-cardinality keys.
+    raw.get("/v1/jobs/abc")
+    assert service.request_counts["GET /v1/jobs/<id>"] == 1
+    assert service.request_counts["GET /v1/context"] == 1

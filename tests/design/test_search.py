@@ -199,9 +199,9 @@ class TestMemoThreadSafety:
         """The engine's LRU is shared by HTTP handler threads and job
         workers; interleaved get/put (move_to_end + popitem under
         eviction pressure) must neither raise nor lose the dict."""
-        from repro.design.search import _Memo
+        from repro.design.search import _memo
 
-        memo = _Memo(capacity=8)
+        memo = _memo(capacity=8)
         errors = []
 
         def worker(offset):
@@ -221,7 +221,7 @@ class TestMemoThreadSafety:
         for t in threads:
             t.join()
         assert errors == []
-        assert len(memo._data) <= 8
+        assert len(memo) <= 8
 
 
 class TestCounters:

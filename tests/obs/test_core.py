@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -82,6 +83,49 @@ class TestSpans:
         assert names["inner"]["parent"] == "outer"
         assert names["outer"]["parent"] is None
         assert names["inner"]["attrs"] == {"depth": 2}
+
+    def test_threaded_spans_nest_per_thread(self):
+        """Each thread's inner span is parented by its own outer span,
+        even while every other thread holds a span open too."""
+        obs.enable()
+        threads_n, rounds = 6, 20
+        barrier = threading.Barrier(threads_n)
+
+        def worker(i):
+            for _ in range(rounds):
+                with obs.span(f"outer-{i}"):
+                    barrier.wait(timeout=10)
+                    with obs.span(f"inner-{i}"):
+                        barrier.wait(timeout=10)
+                        with obs.span(f"leaf-{i}"):
+                            pass
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(threads_n)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        spans = obs.current().spans
+        assert len(spans) == 3 * threads_n * rounds
+        for rec in spans:
+            kind, i = rec["name"].split("-")
+            expected = {"outer": None, "inner": f"outer-{i}",
+                        "leaf": f"inner-{i}"}[kind]
+            assert rec["parent"] == expected, rec
+
+    def test_annotate_adds_attrs_before_the_span_records(self):
+        obs.enable()
+        with obs.span("solve", backend="b") as span:
+            span.annotate(rounds=3)
+        (rec,) = obs.current().spans
+        assert rec["attrs"] == {"backend": "b", "rounds": 3}
+        obs.disable()
+        with obs.span("off") as span:
+            span.annotate(rounds=3)  # the disabled no-op span accepts it
 
     def test_span_summary_aggregates(self):
         run = obs.enable()

@@ -67,6 +67,39 @@ class TestThroughputCommand:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "solver, k_paths, expected",
+        [
+            ("highs-colgen", ["--k-paths", "4"], ("HighsColgenBackend", 4)),
+            ("highs-colgen", [], ("HighsColgenBackend", 2)),
+            ("paths", ["--k-paths", "4"], ("HighsPathsBackend", 4)),
+            ("paths", [], ("HighsPathsBackend", 8)),
+        ],
+    )
+    def test_k_paths_reaches_the_selected_backend(
+        self, monkeypatch, capsys, solver, k_paths, expected
+    ):
+        """``--k-paths`` is the ``k`` of whichever backend ``--solver``
+        names; without it each backend keeps its own default."""
+        from repro import registry
+
+        built = []
+        resolve = registry.solver
+
+        def spy(spec, **knobs):
+            built.append(resolve(spec, **knobs))
+            return built[-1]
+
+        monkeypatch.setattr(registry, "solver", spy)
+        rc = main([
+            "throughput", "jellyfish", "--switches", "8", "--degree", "4",
+            "--servers", "2", "--fractions", "1.0", "--solver", solver,
+            *k_paths,
+        ])
+        assert rc == 0
+        (backend,) = built
+        assert (type(backend).__name__, backend.k) == expected
+
 
 class TestSimulateCommand:
     def test_small_simulation(self, capsys):

@@ -30,6 +30,16 @@ RETIRED = [
     ("repro.sim", "ROUTING_CHOICES"),
     ("repro.sim.simulation", "make_routing"),
     ("repro.sim.simulation", "ROUTING_CHOICES"),
+    # repro.solvers.solve_outcome (the one SolveOutcome builder)
+    ("repro.solvers", "colgen_solve_outcome"),
+    ("repro.solvers.colgen", "colgen_solve_outcome"),
+]
+
+RETIRED_ATTRIBUTES = [
+    # registry.solver(...).solve_many owns the colgen context
+    ("repro.solvers", "HighsColgenBackend", "build_context"),
+    # WarmState.backend caches warm backends instead
+    ("repro.api", "WarmState", "colgen"),
 ]
 
 
@@ -38,6 +48,25 @@ def test_retired_name_is_gone(module, name):
     owner = importlib.import_module(module)
     assert not hasattr(owner, name)
     assert name not in owner.__all__
+
+
+@pytest.mark.parametrize(
+    "module, owner, name", RETIRED_ATTRIBUTES, ids=lambda x: x
+)
+def test_retired_attribute_is_gone(module, owner, name):
+    cls = getattr(importlib.import_module(module), owner)
+    assert not hasattr(cls, name)
+
+
+def test_path_colgen_throughput_has_no_path_cache_parameter():
+    # It always solved on the shared PathCache.
+    import inspect
+
+    from repro.throughput import path_colgen_throughput
+
+    assert "path_cache" not in inspect.signature(
+        path_colgen_throughput
+    ).parameters
 
 
 def test_sim_telemetry_module_is_gone():
